@@ -3,7 +3,7 @@
 Input files use the plain text format (header "n m", then one arc per
 line, optional "# v name" label lines); "-" reads standard input.
 Exit codes: 0 positive / all checks pass, 1 negative / counterexample
-found, 2 usage or parse error.
+found, 2 usage, parse or internal error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import knotting
@@ -212,6 +213,8 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.shards < 1 or args.workers < 1:
+        raise ValueError("--shards and --workers must be at least 1")
     kwargs = {"shards": args.shards, "workers": args.workers}
     if args.check == "recognizers":
         kwargs.update(n=args.n, samples=args.samples, seed=args.seed)
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification check")
     p.add_argument("--check", required=True)
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--n-random", type=int, default=7, help="theorem5 random size cap")
+    p.add_argument("--n-random", type=int, default=8, help="theorem5 random size cap")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shards", type=int, default=1)
@@ -361,6 +364,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a failure, not a verdict: never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 2
 
 

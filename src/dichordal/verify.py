@@ -11,16 +11,24 @@ output for the same reason.
 The big class-filtered scans (weakly quasi-transitive / locally
 semicomplete at n=5) use vectorized numpy prefilters; the prefilters are
 cross-checked against the definitional predicates in the test suite.
+
+The exhaustive theorem-4 and theorem-5 scans decide both sides by lookup
+in the hereditary tables of `tables` (greedy semi-strict chordality and
+containment of fig1, induced non-symmetric dicycles and lollipops), so
+no Digraph object is built except to print a counterexample.  The object
+path -- is_chordal and the find_* detectors -- stays the independent
+route: it decides the generated theorem-5 tail and the recognizer check,
+and the test suite cross-checks every table against it at n <= 5.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +47,14 @@ from .digraph import (
 )
 from .knotting import knotting_graph, ss_chordal_via_knotting, theorem2_oracle
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
+from .tables import (
+    CHUNK,
+    _arc_matrix,
+    _decode_codes,
+    containment_table,
+    semi_strict_table,
+    symmetric_index,
+)
 
 COUNTEREXAMPLE_RECORD_LIMIT = 10
 
@@ -114,8 +130,16 @@ def _split_range(total: int, shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _pool_size(workers: int, shards: int) -> int:
+    """Worker processes to start: at most one per shard and one per CPU."""
+    if workers < 1:
+        raise ValueError("worker count must be positive")
+    return min(workers, shards, os.cpu_count() or 1)
+
+
 def _run_shards(worker: Callable, args: list[tuple], workers: int) -> list[tuple]:
-    if workers > 1 and len(args) > 1:
+    workers = _pool_size(workers, len(args))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, args))
     return [worker(a) for a in args]
@@ -147,30 +171,6 @@ def _merge(
 
 
 # -- vectorized class prefilters ------------------------------------------------
-
-
-def _decode_codes(n: int, start: int, stop: int) -> np.ndarray:
-    """Pair-code matrix for digraph indices [start, stop); slot 0 is the
-    most significant base-4 digit."""
-    m = n * (n - 1) // 2
-    idx = np.arange(start, stop, dtype=np.int64)
-    codes = np.empty((idx.size, m), dtype=np.uint8)
-    for s in range(m):
-        codes[:, s] = (idx >> (2 * (m - 1 - s))) & 3
-    return codes
-
-
-def _arc_matrix(n: int, codes: np.ndarray) -> np.ndarray:
-    """arc[x][y] boolean columns: is the arc x->y present."""
-    arc = np.zeros((n, n, codes.shape[0]), dtype=bool)
-    s = 0
-    for j in range(1, n):
-        for i in range(j):
-            col = codes[:, s]
-            arc[i][j] = (col & 1).astype(bool)
-            arc[j][i] = (col & 2).astype(bool)
-            s += 1
-    return arc
 
 
 def wqt_mask(n: int, codes: np.ndarray) -> np.ndarray:
@@ -213,16 +213,6 @@ def lsc_mask(n: int, codes: np.ndarray) -> np.ndarray:
 # -- fast forbidden-pattern membership -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _fig1_table(k: int) -> np.ndarray:
-    """table[i] == some fig1 pattern embeds into the k-vertex digraph i."""
-    count = digraph_count(k)
-    table = np.zeros(count, dtype=bool)
-    for i in range(count):
-        table[i] = find_any_fig1(digraph_from_index(k, i)) is not None
-    return table
-
-
 def _quad_index(d: Digraph, quad: tuple[int, ...]) -> int:
     # quad is ascending, so stored codes apply without orientation flips
     idx = 0
@@ -239,8 +229,8 @@ def contains_fig1(d: Digraph) -> bool:
     if d.n < 3:
         return False
     if d.n == 3:
-        return bool(_fig1_table(3)[_quad_index(d, (0, 1, 2))])
-    table = _fig1_table(4)
+        return bool(containment_table("fig1", 3)[_quad_index(d, (0, 1, 2))])
+    table = containment_table("fig1", 4)
     for a in range(d.n - 3):
         for b in range(a + 1, d.n - 2):
             for c in range(b + 1, d.n - 1):
@@ -343,21 +333,42 @@ def check_recognizer_equivalence(
     return _merge("recognizer-equivalence", params, parts, started)
 
 
+def _table_scan(
+    n: int, start: int, stop: int, prefilter: Callable, families: tuple[str, ...]
+) -> tuple[int, int, list[tuple[int, bool, bool]]]:
+    """Lookup-table scan of indices [start, stop) kept by `prefilter`:
+    semi-strict chordal against (symmetric part semi-strict chordal and no
+    induced member of any of `families`).
+
+    Returns the kept count, the agreeing count and the first mismatches in
+    index order as (index, lhs, rhs).
+    """
+    chordal = semi_strict_table(n)
+    obstructed = [containment_table(f, n) for f in families]
+    filtered = passed = 0
+    mismatches: list[tuple[int, bool, bool]] = []
+    for lo in range(start, stop, CHUNK):
+        hi = min(lo + CHUNK, stop)
+        idx = lo + np.flatnonzero(prefilter(n, _decode_codes(n, lo, hi)))
+        lhs = chordal[idx]
+        rhs = chordal[symmetric_index(idx)]
+        for table in obstructed:
+            rhs &= ~table[idx]
+        bad = np.flatnonzero(lhs != rhs)
+        filtered += idx.size
+        passed += idx.size - bad.size
+        for b in bad[: COUNTEREXAMPLE_RECORD_LIMIT - len(mismatches)]:
+            mismatches.append((int(idx[b]), bool(lhs[b]), bool(rhs[b])))
+    return filtered, passed, mismatches
+
+
 def _scan_theorem4(args: tuple) -> tuple:
     n, start, stop = args
-    codes = _decode_codes(n, start, stop)
-    keep = wqt_mask(n, codes)
-    passed = 0
-    cx = []
-    filtered = int(keep.sum())
-    for off in np.flatnonzero(keep):
-        d = digraph_from_index(n, start + int(off))
-        lhs = is_chordal(d, Variant.SEMI_STRICT)
-        rhs = _theorem4_rhs_fast(d)
-        if lhs == rhs:
-            passed += 1
-        elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
-            cx.append({"lhs": lhs, "rhs": rhs, "digraph": serialize(d)})
+    filtered, passed, bad = _table_scan(n, start, stop, wqt_mask, ("fig1",))
+    cx = [
+        {"lhs": lhs, "rhs": rhs, "digraph": serialize(digraph_from_index(n, i))}
+        for i, lhs, rhs in bad
+    ]
     return (stop - start, filtered, passed, cx)
 
 
@@ -374,19 +385,13 @@ def check_theorem4(n: int, shards: int = 1, workers: int = 1) -> VerificationRep
 
 def _scan_theorem5_exhaustive(args: tuple) -> tuple:
     n, start, stop = args
-    codes = _decode_codes(n, start, stop)
-    keep = lsc_mask(n, codes)
-    passed = 0
-    cx = []
-    filtered = int(keep.sum())
-    for off in np.flatnonzero(keep):
-        d = digraph_from_index(n, start + int(off))
-        lhs = is_chordal(d, Variant.SEMI_STRICT)
-        rhs = _theorem5_rhs_fast(d)
-        if lhs == rhs:
-            passed += 1
-        elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
-            cx.append({"n": n, "lhs": lhs, "rhs": rhs, "digraph": serialize(d)})
+    filtered, passed, bad = _table_scan(
+        n, start, stop, lsc_mask, ("fig1", "dicycle", "lollipop")
+    )
+    cx = [
+        {"n": n, "lhs": lhs, "rhs": rhs, "digraph": serialize(digraph_from_index(n, i))}
+        for i, lhs, rhs in bad
+    ]
     return (stop - start, filtered, passed, cx)
 
 
@@ -426,11 +431,6 @@ def check_theorem5(
     started = time.perf_counter()
     parts = []
     for size in range(1, n_exhaustive + 1):
-        if size == 1:
-            d = digraph_from_index(1, 0)
-            ok = is_chordal(d, Variant.SEMI_STRICT) == _theorem5_rhs_fast(d)
-            parts.append((1, 1, int(ok), []))
-            continue
         ranges = _split_range(digraph_count(size), shards)
         parts.extend(
             _run_shards(
