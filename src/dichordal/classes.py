@@ -35,15 +35,25 @@ def is_semicomplete(d: Digraph) -> bool:
     return _semicomplete_violation(d) is None
 
 
+def _side_violation(side: int, out, inn) -> Optional[tuple[int, int]]:
+    # smallest (x, y), x < y, of non-adjacent vertices in the mask `side`
+    while side:
+        low = side & -side
+        side ^= low  # now exactly the members above x
+        x = low.bit_length() - 1
+        ys = side & ~(out[x] | inn[x])
+        if ys:
+            return x, (ys & -ys).bit_length() - 1
+    return None
+
+
 def _locally_semicomplete_violation(d: Digraph) -> Optional[tuple[int, int, int]]:
     # (v, x, y): x and y lie in one of v's one-sided neighbourhoods, non-adjacent
+    out, inn = d.out_masks, d.in_masks
     for v in range(d.n):
-        for side in (d.in_masks[v], d.out_masks[v]):
-            xs = list(bits(side))
-            for i, x in enumerate(xs):
-                for y in xs[i + 1 :]:
-                    if not d.adjacent(x, y):
-                        return (v, x, y)
+        bad = _side_violation(inn[v], out, inn) or _side_violation(out[v], out, inn)
+        if bad is not None:
+            return (v, *bad)
     return None
 
 
@@ -237,28 +247,49 @@ def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
     """Random locally semicomplete digraph: round construction, then repair.
 
     Vertices sit on a cycle; each sends arcs along a random-length forward
-    interval, some arcs become digons, and any neighbourhood violation is
-    then repaired by adding a digon between the offending pair.  Each repair
-    adds adjacency, so the loop terminates (the complete symmetric digraph
-    is a fixed point).
+    interval (one `randint` per vertex, in vertex order), then each forward
+    arc, in sorted order, becomes a digon with probability 0.3.  Repair then
+    takes the first neighbourhood violation (v, x, y) in the order of
+    `_locally_semicomplete_violation` -- smallest v, in-side before
+    out-side, then smallest x, then smallest y -- and adds the digon x-y,
+    until none is left.  Each repair adds adjacency, so the loop terminates
+    (the complete symmetric digraph is a fixed point).
+
+    The repair works on neighbourhood bitmasks.  Adding x-y grows only the
+    sides of x and y, and adjacency only grows, so no vertex below v other
+    than x or y can gain a violation: the next scan starts at min(v, x, y)
+    and still finds the first violation of a scan from vertex 0.
+
+    The output is a fixed function of (seed, n); seeded theorem-5 reports
+    depend on it, so the draw and repair order above must not change.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = random.Random(seed)
-    arcs = set()
+    out = [0] * n
+    inn = [0] * n
     for v in range(n):
         reach = rng.randint(0, n - 1) if n > 1 else 0
         for step in range(1, reach + 1):
-            arcs.add((v, (v + step) % n))
-    for arc in sorted(arcs):
-        if rng.random() < 0.3:
-            arcs.add((arc[1], arc[0]))
-    d = build(n, arcs)
-    while True:
-        bad = _locally_semicomplete_violation(d)
+            w = (v + step) % n
+            out[v] |= 1 << w
+            inn[w] |= 1 << v
+    forward = list(out)
+    for v in range(n):
+        for w in bits(forward[v]):
+            if rng.random() < 0.3:
+                out[w] |= 1 << v
+                inn[v] |= 1 << w
+    v = 0
+    while v < n:
+        bad = _side_violation(inn[v], out, inn) or _side_violation(out[v], out, inn)
         if bad is None:
-            return d
-        _, x, y = bad
-        arcs.add((x, y))
-        arcs.add((y, x))
-        d = build(n, arcs)
+            v += 1
+            continue
+        x, y = bad
+        out[x] |= 1 << y
+        inn[x] |= 1 << y
+        out[y] |= 1 << x
+        inn[y] |= 1 << x
+        v = min(v, x, y)
+    return build(n, [(u, w) for u in range(n) for w in bits(out[u])])

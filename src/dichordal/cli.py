@@ -56,33 +56,30 @@ def _namer(names: dict[int, str]):
 def _variant_verdict(d: Digraph, names: dict[int, str], variant: Variant, as_json: bool):
     nm = _namer(names)
     ordering = elimination_ordering(d, variant)
+    if ordering is None:
+        stalled = stalled_subdigraph(d, variant)
+        sub = induced(d, stalled)
+        w = witness(sub, 0, variant)  # the lowest stalled vertex
+        triple = (stalled[w.u], stalled[w.v], stalled[w.w])
     if as_json:
         out = {"variant": variant.value, "chordal": ordering is not None}
         if ordering is not None:
             out["ordering"] = list(ordering.order)
         else:
-            stalled = stalled_subdigraph(d, variant)
-            v = stalled[0]
-            w = witness(induced(d, stalled), stalled.index(v), variant)
-            out["witness"] = [stalled[w.u], stalled[w.v], stalled[w.w]]
+            out["witness"] = list(triple)
             out["stalled"] = list(stalled)
         print(json.dumps(out))
-        return ordering is not None
-    if ordering is not None:
+    elif ordering is not None:
         print(f"{variant.value}: YES")
         print("ordering: " + " ".join(nm(v) for v in ordering.order))
-        return True
-    print(f"{variant.value}: NO")
-    stalled = stalled_subdigraph(d, variant)
-    v = stalled[0]
-    w = witness(induced(d, stalled), stalled.index(v), variant)
-    u, v, w = (stalled[w.u], stalled[w.v], stalled[w.w])
-    print(f"witness: ({nm(u)}, {nm(v)}, {nm(w)})")
-    print("stalled subdigraph on {" + ", ".join(nm(x) for x in stalled) + "}:")
-    sub_names = {i: nm(x) for i, x in enumerate(stalled)}
-    for line in serialize(induced(d, stalled), sub_names).splitlines():
-        print("  " + line)
-    return False
+    else:
+        print(f"{variant.value}: NO")
+        print("witness: (" + ", ".join(nm(x) for x in triple) + ")")
+        print("stalled subdigraph on {" + ", ".join(nm(x) for x in stalled) + "}:")
+        sub_names = {i: nm(x) for i, x in enumerate(stalled)}
+        for line in serialize(sub, sub_names).splitlines():
+            print("  " + line)
+    return ordering is not None
 
 
 def cmd_recognize(args) -> int:

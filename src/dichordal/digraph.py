@@ -357,6 +357,11 @@ def random_digraph(
 # optionally trailing "# v name" label lines.  serialize() emits arcs sorted,
 # so parse(serialize(d)) == d byte-for-byte on the way back out as well.
 
+# Largest vertex count parse() accepts.  The representation is dense --
+# n(n-1)/2 pair codes are allocated before any arc is read -- so a header
+# must not be able to ask for billions of them.
+MAX_VERTICES = 4096
+
 
 def serialize(d: Digraph, names: Mapping[int, str] | None = None) -> str:
     lines = [f"{d.n} {d.arc_count}"]
@@ -385,6 +390,8 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
         raise ValueError(f"malformed header {lines[0]!r}, expected 'n m'") from None
     if n < 0 or m < 0:
         raise ValueError("header counts must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     arcs = []
     names: dict[int, str] = {}
     for ln in lines[1:]:

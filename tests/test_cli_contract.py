@@ -1,12 +1,15 @@
-"""The CLI's exit-code contract and resource bounds on `verify`."""
+"""The CLI's exit-code contract, resource bounds on `verify`, and the
+vertex-count bound on parsed files."""
 
 import inspect
+import io
 import os
 
 import pytest
 
 from dichordal import verify
 from dichordal.cli import CHECKS, build_parser, main
+from dichordal.digraph import MAX_VERTICES, parse_labeled
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
@@ -45,3 +48,16 @@ def test_n_random_default_matches_check_theorem5():
     args = build_parser().parse_args(["verify", "--check", "theorem5"])
     default = inspect.signature(verify.check_theorem5).parameters["n_random"].default
     assert args.n_random == default == 8
+
+
+def test_parse_rejects_oversized_vertex_count(capsys, monkeypatch):
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_labeled("100000 0\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("100000 0\n"))
+    assert main(["recognize", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: vertex count 100000 exceeds the limit of {MAX_VERTICES}")
+    assert "Traceback" not in err
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_labeled(f"{MAX_VERTICES + 1} 0\n")
+    assert parse_labeled("500 0\n")[0].n == 500
