@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
-from .digraph import Digraph, bits, induced, induced_mask, symmetric_subdigraph
+from .digraph import Digraph, bits, induced, symmetric_subdigraph
 
 
 class Variant(str, Enum):
@@ -170,18 +170,22 @@ def verify_ordering(d: Digraph, ordering: EliminationOrdering) -> bool:
 # -- brute-force oracle --------------------------------------------------------
 
 
-def _plain_di_simplicial(d: Digraph, v: int, variant: Variant) -> bool:
-    # definition spelled out over neighbour sets, no bitmask shortcuts
+def _plain_di_simplicial(
+    d: Digraph, v: int, variant: Variant, within: frozenset[int]
+) -> bool:
+    # definition spelled out over neighbour sets inside the vertex set
+    # `within`, no bitmask shortcuts
     if variant is Variant.STRICT:
-        nb = d.in_neighbors(v) | d.out_neighbors(v)
+        nb = (d.in_neighbors(v) | d.out_neighbors(v)) & within
         return all(
             d.has_arc(u, w) and d.has_arc(w, u)
             for u in nb
             for w in nb
             if u != w
         )
-    for u in d.in_neighbors(v):
-        for w in d.out_neighbors(v):
+    outs = d.out_neighbors(v) & within
+    for u in d.in_neighbors(v) & within:
+        for w in outs:
             if u == w:
                 continue
             if not d.has_arc(u, w):
@@ -193,12 +197,16 @@ def _plain_di_simplicial(d: Digraph, v: int, variant: Variant) -> bool:
 
 def oracle_is_chordal(d: Digraph, variant: Variant, cap: int = 12) -> bool:
     """Literal definition: every nonempty induced subdigraph has a
-    di-simplicial vertex.  Exponential; capped at `cap` vertices."""
+    di-simplicial vertex.  Exponential; capped at `cap` vertices.
+
+    Each subset is evaluated in place, as a vertex set that the neighbour
+    sets of d are intersected with; no induced subdigraph is built.
+    """
     if d.n > cap:
         raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {cap}")
     for mask in range(1, 1 << d.n):
-        sub = induced_mask(d, mask)
-        if not any(_plain_di_simplicial(sub, v, variant) for v in range(sub.n)):
+        sub = frozenset(bits(mask))
+        if not any(_plain_di_simplicial(d, v, variant, sub) for v in sub):
             return False
     return True
 

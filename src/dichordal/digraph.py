@@ -188,11 +188,6 @@ def induced(d: Digraph, vertices: Iterable[int]) -> Digraph:
     return Digraph(k, codes)
 
 
-def induced_mask(d: Digraph, mask: int) -> Digraph:
-    """induced() over a vertex bitmask."""
-    return induced(d, bits(mask))
-
-
 def substitute(d: Digraph, parts: Sequence[Digraph] | Mapping[int, Digraph]) -> Digraph:
     """Replace each vertex v of d by the digraph parts[v].
 
@@ -414,11 +409,16 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
     return build(n, arcs), names  # build() re-validates range and loops
 
 
+def dot_quote(text: str) -> str:
+    """Escape `text` for use inside a double-quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(d: Digraph, names: Mapping[int, str] | None = None) -> str:
     """DOT export; a digon becomes one edge with dir=both."""
 
     def label(v: int) -> str:
-        return names[v] if names and v in names else str(v)
+        return dot_quote(names[v] if names and v in names else str(v))
 
     lines = ["digraph D {"]
     for v in range(d.n):

@@ -14,14 +14,36 @@ arc on the edge preserves the one-to-one arc/edge correspondence.
 A vertex is semi-strict di-simplicial exactly when all of its splitting
 classes have degree at most one, which yields a second recognition route
 for semi-strict chordality alongside the elimination-ordering one.
+
+Classes are computed on neighbourhood bitmasks (`_class_masks`): a class
+is a pair (in_mask, out_mask) holding the far ends of its in-arcs and
+out-arcs.  An in-arc from u is directly compatible with exactly the
+out-arcs to `out(v) & ~digon(u) & ~{u}`, and an out-arc to w with the
+in-arcs from `in(v) & ~digon(w) & ~{w}`, so a breadth-first search that
+expands each arc once finds every class in O(deg) mask operations.
+
+The same routine evaluates v inside any induced subdigraph D[S] without
+building it: restrict in(v) and out(v) to S.  That is exact because
+compatibility of two arcs at v depends only on their directions and on
+the pair kind of their far ends, and D[S] inherits both from D; passing
+to S only removes arcs.  Relabelling S by sorted order is monotone, so
+ordering the classes by their smallest member arc gives the same order
+in both labellings.  The subset oracles therefore loop over vertex masks
+and never build an induced Digraph or a KnottingGraph per subset.
+
+Degree identity: every arc is one knotting edge, and its two ends lie in
+classes of different owners, so a class's degree equals its number of
+member arcs.  A vertex qualifies (all of its classes have degree at most
+one) exactly when every class has at most one member arc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .digraph import Digraph, PairKind, bits, induced
+from .digraph import Digraph, PairKind, bits, dot_quote
+from .digraph import induced  # noqa: F401  -- perfbench's tracer binds this name
 
 Arc = tuple[int, int]
 ClassId = tuple[int, int]  # (owner vertex, 1-based index within the owner's group)
@@ -51,14 +73,13 @@ class KnottingGraph:
     classes: tuple[SplittingClass, ...]
     edges: tuple[KnottingEdge, ...]
     arc_to_edge: Mapping[Arc, KnottingEdge] = field(compare=False)
+    # groups[v] is v's splitting group; derived from `classes`
+    groups: tuple[tuple[SplittingClass, ...], ...] = field(compare=False, repr=False)
 
     def group(self, v: int) -> tuple[SplittingClass, ...]:
         if not 0 <= v < self.n:
             raise ValueError(f"unknown vertex {v}")
-        return tuple(c for c in self.classes if c.owner == v)
-
-    def degree(self, class_id: ClassId) -> int:
-        return sum(1 for e in self.edges if class_id in (e.a, e.b))
+        return self.groups[v]
 
     def degrees(self) -> dict[ClassId, int]:
         out = {c.id: 0 for c in self.classes}
@@ -68,13 +89,8 @@ class KnottingGraph:
         return out
 
 
-def _incident_arcs(d: Digraph, v: int) -> list[Arc]:
-    arcs = [(u, v) for u in bits(d.in_masks[v])]
-    arcs += [(v, w) for w in bits(d.out_masks[v])]
-    return sorted(arcs)
-
-
 def _compatible(d: Digraph, v: int, e: Arc, f: Arc) -> bool:
+    """Direct compatibility of arcs e and f at v (the defining relation)."""
     e_out = e[0] == v
     f_out = f[0] == v
     if e_out == f_out:
@@ -86,56 +102,92 @@ def _compatible(d: Digraph, v: int, e: Arc, f: Arc) -> bool:
     return d.pair_kind(fe, ff) is not PairKind.DIGON
 
 
+def _class_masks(d: Digraph, v: int, alive: int) -> Iterator[tuple[int, int]]:
+    """Splitting classes of v in D[alive], as (in_mask, out_mask) pairs.
+
+    The masks hold the far ends of the class's in-arcs and out-arcs.
+    Classes come in the order of their smallest member arc; a vertex with
+    no arc in D[alive] has none.  Each class is yielded as soon as its
+    search ends, so a caller can stop early.
+    """
+    free_in = d.in_masks[v] & alive
+    free_out = d.out_masks[v] & alive
+    digon = d.digon_masks
+    below = (1 << v) - 1
+    while free_in or free_out:
+        # smallest free arc: (u, v) with u < v, else (v, w), else (u, v) with u > v
+        if free_in & below or not free_out:
+            todo_in, todo_out = free_in & -free_in, 0
+        else:
+            todo_in, todo_out = 0, free_out & -free_out
+        free_in ^= todo_in
+        free_out ^= todo_out
+        cls_in, cls_out = todo_in, todo_out
+        while todo_in or todo_out:
+            reach_in = reach_out = 0
+            while todo_in:  # in-arc from u: out-arcs to out(v) & ~digon(u) & ~{u}
+                low = todo_in & -todo_in
+                reach_out |= free_out & ~(digon[low.bit_length() - 1] | low)
+                todo_in ^= low
+            while todo_out:  # out-arc to w: in-arcs from in(v) & ~digon(w) & ~{w}
+                low = todo_out & -todo_out
+                reach_in |= free_in & ~(digon[low.bit_length() - 1] | low)
+                todo_out ^= low
+            free_in &= ~reach_in
+            free_out &= ~reach_out
+            cls_in |= reach_in
+            cls_out |= reach_out
+            todo_in, todo_out = reach_in, reach_out
+        yield cls_in, cls_out
+
+
+def _qualifies(d: Digraph, v: int, alive: int) -> bool:
+    """Do all of v's splitting classes in D[alive] have degree <= 1?
+
+    By the degree identity, that is: every class has at most one member arc.
+    """
+    for cls_in, cls_out in _class_masks(d, v, alive):
+        if cls_in.bit_count() + cls_out.bit_count() > 1:
+            return False
+    return True
+
+
 def knot_classes(d: Digraph, v: int) -> list[SplittingClass]:
     """Splitting classes of v, indexed by their smallest member arc.
 
     An isolated vertex owns a single empty class.
     """
     d._check_vertex(v)
-    arcs = _incident_arcs(d, v)
-    if not arcs:
+    masks = list(_class_masks(d, v, (1 << d.n) - 1))
+    if not masks:
         return [SplittingClass(v, 1, frozenset())]
-    # union-find over the direct compatibility relation
-    parent = list(range(len(arcs)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if _compatible(d, v, arcs[i], arcs[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[Arc]] = {}
-    for i, arc in enumerate(arcs):
-        groups.setdefault(find(i), []).append(arc)
-    members = sorted(groups.values(), key=min)
     return [
-        SplittingClass(v, idx, frozenset(g)) for idx, g in enumerate(members, start=1)
+        SplittingClass(
+            v,
+            idx,
+            frozenset([(u, v) for u in bits(cls_in)] + [(v, w) for w in bits(cls_out)]),
+        )
+        for idx, (cls_in, cls_out) in enumerate(masks, start=1)
     ]
 
 
 def knotting_graph(d: Digraph) -> KnottingGraph:
-    classes: list[SplittingClass] = []
+    groups = tuple(tuple(knot_classes(d, v)) for v in range(d.n))
     arc_class: dict[tuple[int, Arc], ClassId] = {}
-    for v in range(d.n):
-        for cls in knot_classes(d, v):
-            classes.append(cls)
+    for group in groups:
+        for cls in group:
             for arc in cls.members:
-                arc_class[(v, arc)] = cls.id
+                arc_class[(cls.owner, arc)] = cls.id
     edges = []
     for arc in sorted(d.arcs()):
         u, w = arc
         edges.append(KnottingEdge(arc, arc_class[(u, arc)], arc_class[(w, arc)]))
     return KnottingGraph(
         n=d.n,
-        classes=tuple(classes),
+        classes=tuple(cls for group in groups for cls in group),
         edges=tuple(edges),
         arc_to_edge={e.arc: e for e in edges},
+        groups=groups,
     )
 
 
@@ -156,17 +208,16 @@ def lemma1_check(d: Digraph, v: int) -> bool:
 def ss_chordal_via_knotting(d: Digraph) -> bool:
     """Iteratively delete vertices whose splitting group has max degree <= 1.
 
-    The splitting group is recomputed from the surviving induced subdigraph
-    at every step (deleting splitting vertices from the old graph can refine
-    classes at the survivors, so recomputation is the safe semantics).
+    The splitting classes are recomputed in the surviving induced
+    subdigraph at every step (deleting splitting vertices from the old
+    graph can refine classes at the survivors, so recomputation is the
+    safe semantics).  Each step deletes the lowest qualifying alive vertex.
     """
-    current = d
-    while current.n:
-        k = knotting_graph(current)
-        degrees = k.degrees()
-        for v in range(current.n):
-            if all(degrees[c.id] <= 1 for c in k.group(v)):
-                current = induced(current, set(range(current.n)) - {v})
+    alive = (1 << d.n) - 1
+    while alive:
+        for v in bits(alive):
+            if _qualifies(d, v, alive):
+                alive &= ~(1 << v)
                 break
         else:
             return False
@@ -177,17 +228,13 @@ def theorem2_oracle(d: Digraph, cap: int = 12) -> bool:
     """Subset-quantified knotting criterion for semi-strict chordality.
 
     True iff for every nonempty vertex subset, the induced subdigraph's
-    knotting graph has some splitting group with all degrees <= 1.
+    knotting graph has some splitting group with all degrees <= 1.  Each
+    subset is evaluated on its vertex mask.
     """
     if d.n > cap:
         raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {cap}")
     for mask in range(1, 1 << d.n):
-        sub = induced(d, bits(mask))
-        k = knotting_graph(sub)
-        degrees = k.degrees()
-        if not any(
-            all(degrees[c.id] <= 1 for c in k.group(v)) for v in range(sub.n)
-        ):
+        if not any(_qualifies(d, v, mask) for v in bits(mask)):
             return False
     return True
 
@@ -198,7 +245,7 @@ def to_dot(
     """DOT export: one node per splitting class, groups clustered, edges undirected."""
 
     def vname(v: int) -> str:
-        return names[v] if names and v in names else str(v)
+        return dot_quote(names[v] if names and v in names else str(v))
 
     def node(cid: ClassId) -> str:
         return f"c{cid[0]}_{cid[1]}"

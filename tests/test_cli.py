@@ -194,3 +194,27 @@ def test_parse_error_exit_2(capsys, tmp_path):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "recognize", "/nonexistent/file.dg")
     assert code == 2
+
+
+def test_dot_labels_escape_quotes_and_backslashes(capsys, tmp_path):
+    import re
+
+    from dichordal.digraph import parse_labeled, to_dot
+
+    f = tmp_path / "names.dg"
+    f.write_text('2 1\n0 1\n# 0 a"b\n# 1 c\\\n')
+    code, out, _ = run(capsys, "knot", str(f), "--dot")
+    assert code == 0
+    assert '    label="a\\"b";' in out
+    assert '    c0_1 [label="a\\"b^1"];' in out
+    assert '    label="c\\\\";' in out
+    assert '    c1_1 [label="c\\\\^1"];' in out
+    d, names = parse_labeled(f.read_text())
+    dot = to_dot(d, names)
+    assert '  0 [label="a\\"b"];' in dot and '  1 [label="c\\\\"];' in dot
+    # every quoted string closes where it should: a label is one DOT string
+    string = r'"(?:[^"\\]|\\.)*"'
+    for text in (out, dot):
+        for line in text.splitlines():
+            if "label=" in line:
+                assert re.fullmatch(rf'\s*(\w+ \[)?label={string}(\];|;)', line), line
