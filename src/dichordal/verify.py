@@ -2,23 +2,34 @@
 
 Every check enumerates (or samples) digraphs, evaluates two or more
 independently computed sides, and reports counterexamples.  Instances are
-identified by their base-4 pair-code index, so work splits into contiguous
-index ranges: sharded runs scan the same instances in the same order and
-merge associatively, which keeps reports byte-identical for any shard
-count.  Wall time is tracked but excluded from the canonical text/JSON
-output for the same reason.
+numbered (pair-code index or sample number), so work splits into
+contiguous ranges that merge associatively: reports are byte-identical for
+any shard or worker count.  Wall time is kept out of the canonical
+text/JSON output for the same reason.
 
-The big class-filtered scans (weakly quasi-transitive / locally
-semicomplete at n=5) use vectorized numpy prefilters; the prefilters are
-cross-checked against the definitional predicates in the test suite.
+One function, `_check`, splits each job into shards, runs them serially
+or in a process pool and merges the parts, keeping the first ten
+counterexamples in order.  A job runs one of two workers:
 
-The exhaustive theorem-4 and theorem-5 scans decide both sides by lookup
-in the hereditary tables of `tables` (greedy semi-strict chordality and
-containment of fig1, induced non-symmetric dicycles and lollipops), so
-no Digraph object is built except to print a counterexample.  The object
-path -- is_chordal and the find_* detectors -- stays the independent
-route: it decides the generated theorem-5 tail and the recognizer check,
-and the test suite cross-checks every table against it at n <= 5.
+- `_object_scan` builds each digraph from an *instance source* (an index,
+  a seeded index sample, the locally semicomplete generator tail, the
+  deletion probe's random digraphs) and hands it to a *judge* that says
+  whether its sides agree and gives their values: the four recognizers,
+  the theorem-5 tail, the nesting chain, or the knotting deletion probe.
+- `_table_scan` decides the exhaustive theorem-4 and theorem-5 scans by
+  lookup in the hereditary tables of `tables`, over the indices a
+  vectorized class prefilter (`wqt_mask`, `lsc_mask`) keeps; no Digraph
+  is built except to print a counterexample.
+
+Sources, judges and prefilters travel in a job by name and are looked up
+in this module's globals when the worker runs.  Jobs are then plain data
+that pickle for the pool, and whatever a name is bound to at run time is
+what runs: the benchmark's tracer rebinds `digraph_from_index`,
+`is_chordal`, `wqt_mask` and other names here to count their calls.
+
+The object path (is_chordal and the find_* detectors) is the route
+independent of the tables; the test suite cross-checks every table and
+prefilter against it at n <= 5.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +48,6 @@ from .chordality import Variant, is_chordal, oracle_is_chordal, underlying_SD_is
 from .classes import generate_locally_semicomplete, is_symmetric
 from .digraph import (
     Digraph,
-    bits,
     digraph_count,
     digraph_from_index,
     induced,
@@ -137,33 +147,34 @@ def _pool_size(workers: int, shards: int) -> int:
     return min(workers, shards, os.cpu_count() or 1)
 
 
-def _run_shards(worker: Callable, args: list[tuple], workers: int) -> list[tuple]:
-    workers = _pool_size(workers, len(args))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, args))
-    return [worker(a) for a in args]
-
-
-def _merge(
-    name: str,
-    params: dict,
-    parts: list[tuple[int, int, int, list[dict]]],
-    started: float,
-    asserted: bool = True,
+def _check(
+    name: str, params: dict, jobs: list, shards: int, workers: int, asserted: bool = True
 ) -> VerificationReport:
-    total = sum(p[0] for p in parts)
-    filtered = sum(p[1] for p in parts)
-    passed = sum(p[2] for p in parts)
-    cx: list[dict] = []
-    for p in parts:
-        cx.extend(p[3])
+    """Run each (worker, args, count) job over `shards` contiguous ranges of
+    its `count` instances; `worker(*args, start, stop)` returns (total,
+    filtered, passed, counterexamples), merged in job and range order."""
+    if params.get("samples", 0) < 0:
+        raise ValueError(f"sample count must be non-negative, got {params['samples']}")
+    started = time.perf_counter()
+    parts = [
+        (worker, (*args, a, b))
+        for worker, args, count in jobs
+        for a, b in _split_range(count, shards)
+    ]
+    pool_size = _pool_size(workers, shards)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            futures = [pool.submit(worker, *args) for worker, args in parts]
+            results = [f.result() for f in futures]
+    else:
+        results = [worker(*args) for worker, args in parts]
+    cx = [c for r in results for c in r[3]]
     return VerificationReport(
         name=name,
         params=params,
-        total=total,
-        filtered=filtered,
-        passed=passed,
+        total=sum(r[0] for r in results),
+        filtered=sum(r[1] for r in results),
+        passed=sum(r[2] for r in results),
         counterexamples=cx[:COUNTEREXAMPLE_RECORD_LIMIT],
         wall_time=time.perf_counter() - started,
         asserted=asserted,
@@ -240,10 +251,6 @@ def contains_fig1(d: Digraph) -> bool:
     return False
 
 
-def _theorem4_rhs_fast(d: Digraph) -> bool:
-    return is_chordal(symmetric_subdigraph(d), Variant.SEMI_STRICT) and not contains_fig1(d)
-
-
 def _theorem5_rhs_fast(d: Digraph) -> bool:
     return (
         is_chordal(symmetric_subdigraph(d), Variant.SEMI_STRICT)
@@ -253,59 +260,122 @@ def _theorem5_rhs_fast(d: Digraph) -> bool:
     )
 
 
+# -- the two workers ----------------------------------------------------------------
+
+
+def _object_scan(source: str, judge: str, args: tuple, start: int, stop: int) -> tuple:
+    """Build instances start..stop-1 as `source(*args, i)` and judge each.
+
+    The judge returns one (agrees, side values) pair per unit it checks:
+    one per digraph, except one per deleted vertex for the deletion probe.
+    """
+    make, decide = globals()[source], globals()[judge]
+    total = passed = 0
+    cx = []
+    for i in range(start, stop):
+        d = make(*args, i)
+        for agrees, sides in decide(d):
+            total += 1
+            if agrees:
+                passed += 1
+            elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
+                cx.append({**sides, "digraph": serialize(d)})
+    return (total, total, passed, cx)
+
+
+def _table_scan(
+    prefilter: str, families: tuple[str, ...], with_n: bool, n: int, start: int, stop: int
+) -> tuple:
+    """Lookup-table scan of indices [start, stop) kept by `prefilter`:
+    semi-strict chordal against (symmetric part semi-strict chordal and no
+    induced member of any of `families`).
+
+    Mismatches are recorded in index order; each record starts with the
+    order n when `with_n` is set.
+    """
+    keep = globals()[prefilter]
+    chordal = semi_strict_table(n)
+    obstructed = [containment_table(f, n) for f in families]
+    filtered = passed = 0
+    cx = []
+    for lo in range(start, stop, CHUNK):
+        hi = min(lo + CHUNK, stop)
+        idx = lo + np.flatnonzero(keep(n, _decode_codes(n, lo, hi)))
+        lhs = chordal[idx]
+        rhs = chordal[symmetric_index(idx)]
+        for table in obstructed:
+            rhs &= ~table[idx]
+        bad = np.flatnonzero(lhs != rhs)
+        filtered += idx.size
+        passed += idx.size - bad.size
+        for b in bad[: COUNTEREXAMPLE_RECORD_LIMIT - len(cx)]:
+            sides = {
+                "lhs": bool(lhs[b]),
+                "rhs": bool(rhs[b]),
+                "digraph": serialize(digraph_from_index(n, int(idx[b]))),
+            }
+            cx.append({"n": n, **sides} if with_n else sides)
+    return (stop - start, filtered, passed, cx)
+
+
+# -- instance sources (the index source is digraph_from_index itself) --------------
+
+
+def _sampled_index(n: int, seed: int, i: int) -> Digraph:
+    return digraph_from_index(n, random.Random(f"{seed}:{i}").randrange(digraph_count(n)))
+
+
+def _lsc_tail(sizes: list[int], seed: int, i: int) -> Digraph:
+    return generate_locally_semicomplete(seed * 1_000_003 + i, sizes[i % len(sizes)])
+
+
+def _probe_digraph(n: int, seed: int, i: int) -> Digraph:
+    return random_digraph(2 + (i % max(1, n - 1)), (1, 1, 1, 1), seed=seed * 1_000_003 + i)
+
+
+# -- judges -------------------------------------------------------------------------
+
+
+def _judge_recognizers(d: Digraph) -> tuple:
+    greedy = is_chordal(d, Variant.SEMI_STRICT)
+    subset_oracle = oracle_is_chordal(d, Variant.SEMI_STRICT)
+    knot_iter = ss_chordal_via_knotting(d)
+    knot_oracle = theorem2_oracle(d)
+    sides = {
+        "greedy": greedy,
+        "subset_oracle": subset_oracle,
+        "knotting_iterative": knot_iter,
+        "knotting_oracle": knot_oracle,
+    }
+    return ((greedy == subset_oracle == knot_iter == knot_oracle, sides),)
+
+
+def _judge_theorem5_tail(d: Digraph) -> tuple:
+    lhs = is_chordal(d, Variant.SEMI_STRICT)
+    rhs = _theorem5_rhs_fast(d)
+    return ((lhs == rhs, {"n": d.n, "lhs": lhs, "rhs": rhs}),)
+
+
+def _judge_nesting(d: Digraph) -> tuple:
+    strict = is_chordal(d, Variant.STRICT)
+    semi = is_chordal(d, Variant.SEMI_STRICT)
+    chordal = is_chordal(d, Variant.CHORDAL)
+    ok = (not strict or semi) and (not semi or chordal)
+    if ok and is_symmetric(d):
+        ok = semi == underlying_SD_is_chordal(d)
+    return ((ok, {"strict": strict, "semi_strict": semi, "chordal": chordal}),)
+
+
+def _judge_deletion(d: Digraph) -> list:
+    k_old = knotting_graph(d)
+    units = []
+    for v in range(d.n):
+        mismatch = _deletion_derived_mismatch(d, v, k_old)
+        units.append((mismatch is None, {"deleted_vertex": v, "mismatch": mismatch}))
+    return units
+
+
 # -- checks -----------------------------------------------------------------------
-
-
-def _scan_recognizers(args: tuple) -> tuple:
-    n, start, stop = args
-    passed = 0
-    cx = []
-    for i in range(start, stop):
-        d = digraph_from_index(n, i)
-        greedy = is_chordal(d, Variant.SEMI_STRICT)
-        subset_oracle = oracle_is_chordal(d, Variant.SEMI_STRICT)
-        knot_iter = ss_chordal_via_knotting(d)
-        knot_oracle = theorem2_oracle(d)
-        if greedy == subset_oracle == knot_iter == knot_oracle:
-            passed += 1
-        elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
-            cx.append(
-                {
-                    "greedy": greedy,
-                    "subset_oracle": subset_oracle,
-                    "knotting_iterative": knot_iter,
-                    "knotting_oracle": knot_oracle,
-                    "digraph": serialize(d),
-                }
-            )
-    return (stop - start, stop - start, passed, cx)
-
-
-def _scan_recognizers_sampled(args: tuple) -> tuple:
-    n, seed, start, stop = args
-    count = digraph_count(n)
-    passed = 0
-    cx = []
-    for i in range(start, stop):
-        idx = random.Random(f"{seed}:{i}").randrange(count)
-        d = digraph_from_index(n, idx)
-        greedy = is_chordal(d, Variant.SEMI_STRICT)
-        subset_oracle = oracle_is_chordal(d, Variant.SEMI_STRICT)
-        knot_iter = ss_chordal_via_knotting(d)
-        knot_oracle = theorem2_oracle(d)
-        if greedy == subset_oracle == knot_iter == knot_oracle:
-            passed += 1
-        elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
-            cx.append(
-                {
-                    "greedy": greedy,
-                    "subset_oracle": subset_oracle,
-                    "knotting_iterative": knot_iter,
-                    "knotting_oracle": knot_oracle,
-                    "digraph": serialize(d),
-                }
-            )
-    return (stop - start, stop - start, passed, cx)
 
 
 def check_recognizer_equivalence(
@@ -315,61 +385,17 @@ def check_recognizer_equivalence(
 
     Exhaustive for n <= 4; n == 5 requires a sample count.
     """
-    started = time.perf_counter()
     params = {"n": n, "seed": seed}
     if n <= 4:
-        ranges = _split_range(digraph_count(n), shards)
-        parts = _run_shards(_scan_recognizers, [(n, a, b) for a, b in ranges], workers)
+        job = (_object_scan, ("digraph_from_index", "_judge_recognizers", (n,)), digraph_count(n))
     elif n == 5:
         if samples is None:
             raise ValueError("n=5 exceeds the exhaustive cap; pass a sample count")
         params["samples"] = samples
-        ranges = _split_range(samples, shards)
-        parts = _run_shards(
-            _scan_recognizers_sampled, [(n, seed, a, b) for a, b in ranges], workers
-        )
+        job = (_object_scan, ("_sampled_index", "_judge_recognizers", (n, seed)), samples)
     else:
         raise ValueError(f"recognizer equivalence capped at n=5, got n={n}")
-    return _merge("recognizer-equivalence", params, parts, started)
-
-
-def _table_scan(
-    n: int, start: int, stop: int, prefilter: Callable, families: tuple[str, ...]
-) -> tuple[int, int, list[tuple[int, bool, bool]]]:
-    """Lookup-table scan of indices [start, stop) kept by `prefilter`:
-    semi-strict chordal against (symmetric part semi-strict chordal and no
-    induced member of any of `families`).
-
-    Returns the kept count, the agreeing count and the first mismatches in
-    index order as (index, lhs, rhs).
-    """
-    chordal = semi_strict_table(n)
-    obstructed = [containment_table(f, n) for f in families]
-    filtered = passed = 0
-    mismatches: list[tuple[int, bool, bool]] = []
-    for lo in range(start, stop, CHUNK):
-        hi = min(lo + CHUNK, stop)
-        idx = lo + np.flatnonzero(prefilter(n, _decode_codes(n, lo, hi)))
-        lhs = chordal[idx]
-        rhs = chordal[symmetric_index(idx)]
-        for table in obstructed:
-            rhs &= ~table[idx]
-        bad = np.flatnonzero(lhs != rhs)
-        filtered += idx.size
-        passed += idx.size - bad.size
-        for b in bad[: COUNTEREXAMPLE_RECORD_LIMIT - len(mismatches)]:
-            mismatches.append((int(idx[b]), bool(lhs[b]), bool(rhs[b])))
-    return filtered, passed, mismatches
-
-
-def _scan_theorem4(args: tuple) -> tuple:
-    n, start, stop = args
-    filtered, passed, bad = _table_scan(n, start, stop, wqt_mask, ("fig1",))
-    cx = [
-        {"lhs": lhs, "rhs": rhs, "digraph": serialize(digraph_from_index(n, i))}
-        for i, lhs, rhs in bad
-    ]
-    return (stop - start, filtered, passed, cx)
+    return _check("recognizer-equivalence", params, [job], shards, workers)
 
 
 def check_theorem4(n: int, shards: int = 1, workers: int = 1) -> VerificationReport:
@@ -377,38 +403,8 @@ def check_theorem4(n: int, shards: int = 1, workers: int = 1) -> VerificationRep
     semi-strict chordal == (symmetric part semi-strict chordal and no fig1)."""
     if n > 5:
         raise ValueError(f"theorem4 exhaustive check capped at n=5, got n={n}")
-    started = time.perf_counter()
-    ranges = _split_range(digraph_count(n), shards)
-    parts = _run_shards(_scan_theorem4, [(n, a, b) for a, b in ranges], workers)
-    return _merge("theorem4", {"n": n}, parts, started)
-
-
-def _scan_theorem5_exhaustive(args: tuple) -> tuple:
-    n, start, stop = args
-    filtered, passed, bad = _table_scan(
-        n, start, stop, lsc_mask, ("fig1", "dicycle", "lollipop")
-    )
-    cx = [
-        {"n": n, "lhs": lhs, "rhs": rhs, "digraph": serialize(digraph_from_index(n, i))}
-        for i, lhs, rhs in bad
-    ]
-    return (stop - start, filtered, passed, cx)
-
-
-def _scan_theorem5_random(args: tuple) -> tuple:
-    sizes, seed, start, stop = args
-    passed = 0
-    cx = []
-    for i in range(start, stop):
-        size = sizes[i % len(sizes)]
-        d = generate_locally_semicomplete(seed * 1_000_003 + i, size)
-        lhs = is_chordal(d, Variant.SEMI_STRICT)
-        rhs = _theorem5_rhs_fast(d)
-        if lhs == rhs:
-            passed += 1
-        elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
-            cx.append({"n": size, "lhs": lhs, "rhs": rhs, "digraph": serialize(d)})
-    return (stop - start, stop - start, passed, cx)
+    job = (_table_scan, ("wqt_mask", ("fig1",), False, n), digraph_count(n))
+    return _check("theorem4", {"n": n}, [job], shards, workers)
 
 
 def check_theorem5(
@@ -428,56 +424,21 @@ def check_theorem5(
     """
     if n_exhaustive > 5:
         raise ValueError(f"theorem5 exhaustive cap is n=5, got {n_exhaustive}")
-    started = time.perf_counter()
-    parts = []
-    for size in range(1, n_exhaustive + 1):
-        ranges = _split_range(digraph_count(size), shards)
-        parts.extend(
-            _run_shards(
-                _scan_theorem5_exhaustive, [(size, a, b) for a, b in ranges], workers
-            )
-        )
+    families = ("fig1", "dicycle", "lollipop")
+    jobs = [
+        (_table_scan, ("lsc_mask", families, True, size), digraph_count(size))
+        for size in range(1, n_exhaustive + 1)
+    ]
     sizes = list(range(n_exhaustive + 1, n_random + 1))
-    if samples and sizes:
-        ranges = _split_range(samples, shards)
-        parts.extend(
-            _run_shards(
-                _scan_theorem5_random, [(sizes, seed, a, b) for a, b in ranges], workers
-            )
-        )
+    if sizes:
+        jobs.append((_object_scan, ("_lsc_tail", "_judge_theorem5_tail", (sizes, seed)), samples))
     params = {
         "n_exhaustive": n_exhaustive,
         "n_random": n_random,
         "samples": samples,
         "seed": seed,
     }
-    return _merge("theorem5", params, parts, started)
-
-
-def _scan_nesting(args: tuple) -> tuple:
-    n, start, stop = args
-    passed = 0
-    cx = []
-    for i in range(start, stop):
-        d = digraph_from_index(n, i)
-        strict = is_chordal(d, Variant.STRICT)
-        semi = is_chordal(d, Variant.SEMI_STRICT)
-        chordal = is_chordal(d, Variant.CHORDAL)
-        ok = (not strict or semi) and (not semi or chordal)
-        if ok and is_symmetric(d):
-            ok = semi == underlying_SD_is_chordal(d)
-        if ok:
-            passed += 1
-        elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
-            cx.append(
-                {
-                    "strict": strict,
-                    "semi_strict": semi,
-                    "chordal": chordal,
-                    "digraph": serialize(d),
-                }
-            )
-    return (stop - start, stop - start, passed, cx)
+    return _check("theorem5", params, jobs, shards, workers)
 
 
 def check_nesting(n: int, shards: int = 1, workers: int = 1) -> VerificationReport:
@@ -485,23 +446,23 @@ def check_nesting(n: int, shards: int = 1, workers: int = 1) -> VerificationRepo
     symmetric digraphs, semi-strict chordality == underlying-graph chordality."""
     if n > 4:
         raise ValueError(f"nesting check capped at n=4, got n={n}")
-    started = time.perf_counter()
-    ranges = _split_range(digraph_count(n), shards)
-    parts = _run_shards(_scan_nesting, [(n, a, b) for a, b in ranges], workers)
-    return _merge("nesting", {"n": n}, parts, started)
+    job = (_object_scan, ("digraph_from_index", "_judge_nesting", (n,)), digraph_count(n))
+    return _check("nesting", {"n": n}, [job], shards, workers)
 
 
 # -- knotting deletion probe -------------------------------------------------------
 
 
-def _deletion_derived_mismatch(d: Digraph, v: int) -> Optional[str]:
+def _deletion_derived_mismatch(d: Digraph, v: int, k_old=None) -> Optional[str]:
     """Does deleting v's splitting vertices from K_D give K_{D-v}?
 
     Compared up to a group-respecting isomorphism keyed by the surviving
     arcs; stale member sets on the deletion side are ignored.  Returns a
-    mismatch description, or None when the graphs agree.
+    mismatch description, or None when the graphs agree.  `k_old` is
+    knotting_graph(d), passed in when it is shared across deleted vertices.
     """
-    k_old = knotting_graph(d)
+    if k_old is None:
+        k_old = knotting_graph(d)
     keep = [u for u in range(d.n) if u != v]
     relabel = {u: i for i, u in enumerate(keep)}
     h = induced(d, keep)
@@ -533,30 +494,6 @@ def _deletion_derived_mismatch(d: Digraph, v: int) -> Optional[str]:
     return None
 
 
-def _scan_deletion_probe(args: tuple) -> tuple:
-    n, seed, start, stop = args
-    checked = 0
-    agreed = 0
-    cx = []
-    for i in range(start, stop):
-        size = 2 + (i % max(1, n - 1))
-        d = random_digraph(size, (1, 1, 1, 1), seed=seed * 1_000_003 + i)
-        for v in range(size):
-            checked += 1
-            mismatch = _deletion_derived_mismatch(d, v)
-            if mismatch is None:
-                agreed += 1
-            elif len(cx) < COUNTEREXAMPLE_RECORD_LIMIT:
-                cx.append(
-                    {
-                        "deleted_vertex": v,
-                        "mismatch": mismatch,
-                        "digraph": serialize(d),
-                    }
-                )
-    return (checked, checked, agreed, cx)
-
-
 def probe_knotting_deletion(
     n: int, samples: int, seed: int = 0, shards: int = 1, workers: int = 1
 ) -> VerificationReport:
@@ -566,13 +503,9 @@ def probe_knotting_deletion(
     Counterexamples here are findings, not failures; the report is
     informational.
     """
-    started = time.perf_counter()
-    ranges = _split_range(samples, shards)
-    parts = _run_shards(
-        _scan_deletion_probe, [(n, seed, a, b) for a, b in ranges], workers
-    )
+    job = (_object_scan, ("_probe_digraph", "_judge_deletion", (n, seed)), samples)
     params = {"n": n, "samples": samples, "seed": seed}
-    return _merge("knotting-deletion-probe", params, parts, started, asserted=False)
+    return _check("knotting-deletion-probe", params, [job], shards, workers, asserted=False)
 
 
 CHECKS = {

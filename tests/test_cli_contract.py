@@ -61,3 +61,19 @@ def test_parse_rejects_oversized_vertex_count(capsys, monkeypatch):
     with pytest.raises(ValueError, match="exceeds the limit"):
         parse_labeled(f"{MAX_VERTICES + 1} 0\n")
     assert parse_labeled("500 0\n")[0].n == 500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--check", "recognizers", "--n", "5", "--samples", "-5"],
+        ["--check", "theorem5", "--n", "3", "--n-random", "5", "--samples", "-7"],
+        ["--check", "knotting-deletion", "--samples", "-3"],
+    ],
+)
+def test_verify_rejects_negative_samples(capsys, argv):
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sample count must be non-negative")

@@ -9,11 +9,10 @@ from dichordal.digraph import (
     random_digraph,
     serialize,
 )
-from dichordal.patterns import find_any_fig1, theorem4_rhs, theorem5_rhs
+from dichordal.patterns import find_any_fig1, theorem5_rhs
 from dichordal.verify import (
     _decode_codes,
     _deletion_derived_mismatch,
-    _theorem4_rhs_fast,
     _theorem5_rhs_fast,
     check_nesting,
     check_recognizer_equivalence,
@@ -47,10 +46,8 @@ def test_contains_fig1_matches_matcher():
 def test_fast_rhs_paths_match_public_ops():
     for seed in range(80):
         d = random_digraph(5 + seed % 3, (2, 1, 1, 2), seed=seed)
-        assert _theorem4_rhs_fast(d) == theorem4_rhs(d)
         assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
     for d in enumerate_digraphs(3):
-        assert _theorem4_rhs_fast(d) == theorem4_rhs(d)
         assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
 
 
