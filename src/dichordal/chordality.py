@@ -171,26 +171,22 @@ def verify_ordering(d: Digraph, ordering: EliminationOrdering) -> bool:
 
 
 def _plain_di_simplicial(
-    d: Digraph, v: int, variant: Variant, within: frozenset[int]
+    ins: list[frozenset[int]], outs: list[frozenset[int]], v: int, variant: Variant,
+    within: frozenset[int],
 ) -> bool:
-    # definition spelled out over neighbour sets inside the vertex set
-    # `within`, no bitmask shortcuts
+    # definition spelled out over the neighbour sets ins[x], outs[x] inside
+    # the vertex set `within`, no bitmask shortcuts
     if variant is Variant.STRICT:
-        nb = (d.in_neighbors(v) | d.out_neighbors(v)) & within
-        return all(
-            d.has_arc(u, w) and d.has_arc(w, u)
-            for u in nb
-            for w in nb
-            if u != w
-        )
-    outs = d.out_neighbors(v) & within
-    for u in d.in_neighbors(v) & within:
-        for w in outs:
+        nb = (ins[v] | outs[v]) & within
+        return all(w in outs[u] and u in outs[w] for u in nb for w in nb if u != w)
+    out_v = outs[v] & within
+    for u in ins[v] & within:
+        for w in out_v:
             if u == w:
                 continue
-            if not d.has_arc(u, w):
+            if w not in outs[u]:
                 return False
-            if variant is Variant.SEMI_STRICT and not d.has_arc(w, u):
+            if variant is Variant.SEMI_STRICT and u not in outs[w]:
                 return False
     return True
 
@@ -200,13 +196,16 @@ def oracle_is_chordal(d: Digraph, variant: Variant, cap: int = 12) -> bool:
     di-simplicial vertex.  Exponential; capped at `cap` vertices.
 
     Each subset is evaluated in place, as a vertex set that the neighbour
-    sets of d are intersected with; no induced subdigraph is built.
+    sets of d, taken once per call, are intersected with; no induced
+    subdigraph is built.
     """
     if d.n > cap:
         raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {cap}")
+    ins = [d.in_neighbors(v) for v in range(d.n)]
+    outs = [d.out_neighbors(v) for v in range(d.n)]
     for mask in range(1, 1 << d.n):
         sub = frozenset(bits(mask))
-        if not any(_plain_di_simplicial(d, v, variant, sub) for v in sub):
+        if not any(_plain_di_simplicial(ins, outs, v, variant, sub) for v in sub):
             return False
     return True
 

@@ -227,7 +227,8 @@ def cmd_verify(args) -> int:
     elif args.check == "nesting":
         kwargs.update(n=args.n)
     else:  # knotting-deletion
-        kwargs.update(n=args.n, samples=args.samples or 1000, seed=args.seed)
+        samples = 1000 if args.samples is None else args.samples
+        kwargs.update(n=args.n, samples=samples, seed=args.seed)
     report = CHECKS[args.check](**kwargs)
     if args.json:
         sys.stdout.write(report.to_json(timing=args.timing))

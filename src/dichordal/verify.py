@@ -17,9 +17,9 @@ counterexamples in order.  A job runs one of two workers:
   whether its sides agree and gives their values: the four recognizers,
   the theorem-5 tail, the nesting chain, or the knotting deletion probe.
 - `_table_scan` decides the exhaustive theorem-4 and theorem-5 scans by
-  lookup in the hereditary tables of `tables`, over the indices a
-  vectorized class prefilter (`wqt_mask`, `lsc_mask`) keeps; no Digraph
-  is built except to print a counterexample.
+  lookup in the hereditary tables of `tables`, over the indices that a
+  class prefilter from `tables` (`wqt_mask`, `lsc_mask`) keeps; no
+  Digraph is built except to print a counterexample.
 
 Sources, judges and prefilters travel in a job by name and are looked up
 in this module's globals when the worker runs.  Jobs are then plain data
@@ -58,12 +58,13 @@ from .digraph import (
 from .knotting import knotting_graph, ss_chordal_via_knotting, theorem2_oracle
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from .tables import (
-    CHUNK,
-    _arc_matrix,
-    _decode_codes,
+    any_induced,
     containment_table,
+    index_chunks,
+    lsc_mask,
     semi_strict_table,
     symmetric_index,
+    wqt_mask,
 )
 
 COUNTEREXAMPLE_RECORD_LIMIT = 10
@@ -147,14 +148,18 @@ def _pool_size(workers: int, shards: int) -> int:
     return min(workers, shards, os.cpu_count() or 1)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {samples}")
+
+
 def _check(
     name: str, params: dict, jobs: list, shards: int, workers: int, asserted: bool = True
 ) -> VerificationReport:
     """Run each (worker, args, count) job over `shards` contiguous ranges of
     its `count` instances; `worker(*args, start, stop)` returns (total,
     filtered, passed, counterexamples), merged in job and range order."""
-    if params.get("samples", 0) < 0:
-        raise ValueError(f"sample count must be non-negative, got {params['samples']}")
+    _check_samples(params.get("samples", 0))
     started = time.perf_counter()
     parts = [
         (worker, (*args, a, b))
@@ -181,74 +186,16 @@ def _check(
     )
 
 
-# -- vectorized class prefilters ------------------------------------------------
-
-
-def wqt_mask(n: int, codes: np.ndarray) -> np.ndarray:
-    """Weakly-quasi-transitive membership for each code row."""
-    arc = _arc_matrix(n, codes)
-    ok = np.ones(codes.shape[0], dtype=bool)
-    for v in range(n):
-        others = [x for x in range(n) if x != v]
-        cell = {x: arc[x][v].astype(np.uint8) | (arc[v][x].astype(np.uint8) << 1) for x in others}
-        for a in range(len(others)):
-            for b in range(a + 1, len(others)):
-                u, w = others[a], others[b]
-                viol = (
-                    (cell[u] != 0)
-                    & (cell[w] != 0)
-                    & ~(arc[u][w] | arc[w][u])
-                    & (cell[u] != cell[w])
-                )
-                ok &= ~viol
-    return ok
-
-
-def lsc_mask(n: int, codes: np.ndarray) -> np.ndarray:
-    """Locally-semicomplete membership for each code row."""
-    arc = _arc_matrix(n, codes)
-    ok = np.ones(codes.shape[0], dtype=bool)
-    for v in range(n):
-        others = [x for x in range(n) if x != v]
-        for a in range(len(others)):
-            for b in range(a + 1, len(others)):
-                u, w = others[a], others[b]
-                nonadj = ~(arc[u][w] | arc[w][u])
-                viol = (arc[u][v] & arc[w][v] & nonadj) | (
-                    arc[v][u] & arc[v][w] & nonadj
-                )
-                ok &= ~viol
-    return ok
-
-
 # -- fast forbidden-pattern membership -------------------------------------------
 
 
-def _quad_index(d: Digraph, quad: tuple[int, ...]) -> int:
-    # quad is ascending, so stored codes apply without orientation flips
-    idx = 0
-    codes = d.codes
-    for b in range(1, len(quad)):
-        jbase = quad[b] * (quad[b] - 1) // 2
-        for a in range(b):
-            idx = (idx << 2) | codes[jbase + quad[a]]
-    return idx
-
-
 def contains_fig1(d: Digraph) -> bool:
-    """Table-driven version of find_any_fig1(d) is not None."""
-    if d.n < 3:
-        return False
-    if d.n == 3:
-        return bool(containment_table("fig1", 3)[_quad_index(d, (0, 1, 2))])
-    table = containment_table("fig1", 4)
-    for a in range(d.n - 3):
-        for b in range(a + 1, d.n - 2):
-            for c in range(b + 1, d.n - 1):
-                for e in range(c + 1, d.n):
-                    if table[_quad_index(d, (a, b, c, e))]:
-                        return True
-    return False
+    """find_any_fig1(d) is not None, by lookup at every 4-subset (fig1
+    members have 3 or 4 vertices).  It reads this module's binding of
+    `containment_table`, as `_table_scan` does, so rebinding it reaches
+    the theorem-5 tail too."""
+    k = min(d.n, 4)
+    return any_induced(containment_table("fig1", k), k, d)
 
 
 def _theorem5_rhs_fast(d: Digraph) -> bool:
@@ -298,9 +245,8 @@ def _table_scan(
     obstructed = [containment_table(f, n) for f in families]
     filtered = passed = 0
     cx = []
-    for lo in range(start, stop, CHUNK):
-        hi = min(lo + CHUNK, stop)
-        idx = lo + np.flatnonzero(keep(n, _decode_codes(n, lo, hi)))
+    for idx in index_chunks(start, stop):
+        idx = idx[keep(n, idx)]
         lhs = chordal[idx]
         rhs = chordal[symmetric_index(idx)]
         for table in obstructed:
@@ -383,8 +329,11 @@ def check_recognizer_equivalence(
 ) -> VerificationReport:
     """Greedy elimination == subset oracle == knotting iteration == knotting oracle.
 
-    Exhaustive for n <= 4; n == 5 requires a sample count.
+    Exhaustive for n <= 4, where a sample count is not used but must not
+    be negative; n == 5 requires a sample count.
     """
+    if samples is not None:
+        _check_samples(samples)
     params = {"n": n, "seed": seed}
     if n <= 4:
         job = (_object_scan, ("digraph_from_index", "_judge_recognizers", (n,)), digraph_count(n))

@@ -69,6 +69,7 @@ def test_parse_rejects_oversized_vertex_count(capsys, monkeypatch):
         ["--check", "recognizers", "--n", "5", "--samples", "-5"],
         ["--check", "theorem5", "--n", "3", "--n-random", "5", "--samples", "-7"],
         ["--check", "knotting-deletion", "--samples", "-3"],
+        ["--check", "recognizers", "--n", "3", "--samples", "-4"],
     ],
 )
 def test_verify_rejects_negative_samples(capsys, argv):
@@ -77,3 +78,11 @@ def test_verify_rejects_negative_samples(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: sample count must be non-negative")
+
+
+def test_verify_keeps_an_explicit_zero_sample_count(capsys):
+    code = main(["verify", "--check", "knotting-deletion", "--n", "3", "--samples", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "samples=0" in out.splitlines()[1]
+    assert "instances: total=0 " in out

@@ -7,20 +7,26 @@ import pytest
 
 from dichordal import verify
 from dichordal.chordality import Variant, is_chordal
+from dichordal.classes import is_locally_semicomplete, is_weakly_quasi_transitive
 from dichordal.digraph import (
     digraph_count,
     digraph_from_index,
     digraph_to_index,
     induced,
     parse,
+    random_digraph,
     symmetric_subdigraph,
 )
 from dichordal.patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from dichordal.tables import (
     containment_table,
     deleted_index,
+    index_chunks,
+    lsc_mask,
     semi_strict_table,
+    subset_index,
     symmetric_index,
+    wqt_mask,
 )
 from dichordal.verify import check_theorem4, check_theorem5
 
@@ -57,6 +63,37 @@ def test_index_remaps_match_digraph_ops(n):
         for v in range(n):
             rest = [x for x in range(n) if x != v]
             assert dels[v][k] == digraph_to_index(induced(d, rest))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subset_index_matches_induced(n):
+    # orders up to 8, whose 56-bit indices still fit an int64 array
+    rng = random.Random(n)
+    ds = [random_digraph(n, (1, 1, 1, 1), seed=100 * n + s) for s in range(40)]
+    idx = np.array([digraph_to_index(d) for d in ds], dtype=np.int64)
+    for _ in range(12):
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        sub = subset_index(n, keep, idx)
+        for k, d in enumerate(ds):
+            want = digraph_to_index(induced(d, keep))
+            assert sub[k] == subset_index(n, keep, digraph_to_index(d)) == want, keep
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_class_rows_match_predicates(n):
+    ids = _indices(n)
+    idx = np.array(ids, dtype=np.int64)
+    wqt, lsc = wqt_mask(n, idx), lsc_mask(n, idx)
+    for k, i in enumerate(ids):
+        d = digraph_from_index(n, i)
+        assert wqt[k] == is_weakly_quasi_transitive(d), i
+        assert lsc[k] == is_locally_semicomplete(d), i
+
+
+def test_class_rows_n5_counts():
+    chunks = list(index_chunks(0, digraph_count(5)))
+    assert sum(int(wqt_mask(5, idx).sum()) for idx in chunks) == 82_012
+    assert sum(int(lsc_mask(5, idx).sum()) for idx in chunks) == 71_284
 
 
 @pytest.mark.parametrize("n", ORDERS)

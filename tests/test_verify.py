@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from dichordal.chordality import Variant, is_chordal
@@ -11,7 +14,6 @@ from dichordal.digraph import (
 )
 from dichordal.patterns import find_any_fig1, theorem5_rhs
 from dichordal.verify import (
-    _decode_codes,
     _deletion_derived_mismatch,
     _theorem5_rhs_fast,
     check_nesting,
@@ -26,9 +28,9 @@ from dichordal.verify import (
 
 
 def test_wqt_and_lsc_masks_match_predicates_n4():
-    codes = _decode_codes(4, 0, 4096)
-    wm = wqt_mask(4, codes)
-    lm = lsc_mask(4, codes)
+    idx = np.arange(4096, dtype=np.int64)
+    wm = wqt_mask(4, idx)
+    lm = lsc_mask(4, idx)
     for i, d in enumerate(enumerate_digraphs(4)):
         assert wm[i] == is_weakly_quasi_transitive(d)
         assert lm[i] == is_locally_semicomplete(d)
@@ -38,9 +40,11 @@ def test_contains_fig1_matches_matcher():
     for i in range(0, 4096, 7):
         d = digraph_from_index(4, i)
         assert contains_fig1(d) == (find_any_fig1(d) is not None)
-    for seed in range(60):
-        d = random_digraph(6, (1, 1, 1, 1), seed=seed)
-        assert contains_fig1(d) == (find_any_fig1(d) is not None)
+    # sparse weights give fig1-free digraphs at n = 7 and 8 as well
+    for n, weights in itertools.product((6, 7, 8), ((1, 1, 1, 1), (4, 1, 1, 1))):
+        for seed in range(60):
+            d = random_digraph(n, weights, seed=seed)
+            assert contains_fig1(d) == (find_any_fig1(d) is not None)
 
 
 def test_fast_rhs_paths_match_public_ops():
