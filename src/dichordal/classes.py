@@ -19,7 +19,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .digraph import Digraph, bits, build, pair_slots, slot_index, substitute
+from .digraph import (
+    MAX_VERTICES,
+    Digraph,
+    bits,
+    build,
+    check_vertex_count,
+    pair_slots,
+    slot_index,
+    substitute,
+)
 
 
 def _semicomplete_violation(d: Digraph) -> Optional[tuple[int, int]]:
@@ -219,7 +228,9 @@ def generate_wqt(seed: int, depth: int = 2, width: int = 3) -> Digraph:
     Depth 1 draws one of the three base classes (transitive oriented,
     semicomplete, symmetric) on 1..width vertices; deeper levels substitute
     recursively generated digraphs into a fresh base digraph.  Deterministic
-    per seed.
+    per seed.  Raises ValueError, before substituting anything, as soon as
+    a base digraph or the parts drawn for one exceed MAX_VERTICES vertices
+    in total.
     """
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be at least 1")
@@ -227,6 +238,7 @@ def generate_wqt(seed: int, depth: int = 2, width: int = 3) -> Digraph:
 
     def base() -> Digraph:
         n = rng.randint(1, width)
+        check_vertex_count(n)
         builder = (
             _random_transitive_oriented,
             _random_semicomplete,
@@ -234,13 +246,28 @@ def generate_wqt(seed: int, depth: int = 2, width: int = 3) -> Digraph:
         )[rng.randrange(3)]
         return builder(rng, n)
 
-    def gen(level: int) -> Digraph:
-        if level == 1:
-            return base()
+    def draw(level: int) -> tuple[Digraph, list, int]:
+        # (base digraph, drawn parts, order), making every random draw in
+        # generation order; nothing is substituted until the order is known
         host = base()
-        return substitute(host, [gen(level - 1) for _ in range(host.n)])
+        if level == 1:
+            return host, [], host.n
+        parts = []
+        total = 0
+        for _ in range(host.n):
+            parts.append(draw(level - 1))
+            total += parts[-1][2]
+            if total > MAX_VERTICES:
+                raise ValueError(
+                    f"generated digraph exceeds the limit of {MAX_VERTICES} vertices"
+                )
+        return host, parts, total
 
-    return gen(depth)
+    def assemble(node: tuple[Digraph, list, int]) -> Digraph:
+        host, parts, _ = node
+        return substitute(host, [assemble(p) for p in parts]) if parts else host
+
+    return assemble(draw(depth))
 
 
 def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
@@ -262,9 +289,11 @@ def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
 
     The output is a fixed function of (seed, n); seeded theorem-5 reports
     depend on it, so the draw and repair order above must not change.
+    n must lie in 1..MAX_VERTICES.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_vertex_count(n)
     rng = random.Random(seed)
     out = [0] * n
     inn = [0] * n

@@ -13,6 +13,7 @@ Digraph values are immutable, so they can be shared freely.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -55,6 +56,8 @@ class Digraph:
     __slots__ = ("n", "codes", "out_masks", "in_masks", "digon_masks", "_hash")
 
     def __init__(self, n: int, codes: Sequence[int]):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         m = n * (n - 1) // 2
         if len(codes) != m:
             raise ValueError(f"expected {m} pair codes for n={n}, got {len(codes)}")
@@ -284,6 +287,8 @@ def canonical_form(d: Digraph) -> tuple[int, ...]:
 
 def digraph_count(n: int) -> int:
     """Number of labeled digraphs on n vertices: 4^(n(n-1)/2)."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     return 4 ** (n * (n - 1) // 2)
 
 
@@ -327,10 +332,12 @@ def random_digraph(
     """Each unordered pair drawn independently with the given kind weights.
 
     Weights are (non-adjacent, forward, backward, digon); they must be
-    nonnegative with a positive sum.  Deterministic for a fixed seed.
+    finite and nonnegative with a positive sum.  Deterministic for a fixed
+    seed.  n must lie in 0..MAX_VERTICES.
     """
-    if len(kind_weights) != 4 or any(w < 0 for w in kind_weights):
-        raise ValueError("kind_weights must be 4 nonnegative numbers")
+    check_vertex_count(n)
+    if len(kind_weights) != 4 or not all(0 <= w < math.inf for w in kind_weights):
+        raise ValueError("kind_weights must be 4 finite nonnegative numbers")
     total = float(sum(kind_weights))
     if total <= 0:
         raise ValueError("kind_weights must have positive sum")
@@ -352,10 +359,19 @@ def random_digraph(
 # optionally trailing "# v name" label lines.  serialize() emits arcs sorted,
 # so parse(serialize(d)) == d byte-for-byte on the way back out as well.
 
-# Largest vertex count parse() accepts.  The representation is dense --
-# n(n-1)/2 pair codes are allocated before any arc is read -- so a header
-# must not be able to ask for billions of them.
+# Largest vertex count parse() and the generators accept.  The
+# representation is dense -- n(n-1)/2 pair codes are allocated before any
+# arc is read -- so a header or a size option must not be able to ask for
+# billions of them.
 MAX_VERTICES = 4096
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= MAX_VERTICES."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def serialize(d: Digraph, names: Mapping[int, str] | None = None) -> str:
@@ -385,8 +401,7 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
         raise ValueError(f"malformed header {lines[0]!r}, expected 'n m'") from None
     if n < 0 or m < 0:
         raise ValueError("header counts must be nonnegative")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    check_vertex_count(n)
     arcs = []
     names: dict[int, str] = {}
     for ln in lines[1:]:

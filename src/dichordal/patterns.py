@@ -16,16 +16,55 @@ Two families matter for semi-strict chordality:
 Combined with chordality of the symmetric part these characterize
 semi-strict chordality inside the weakly quasi-transitive and locally
 semicomplete classes.
+
+All three detectors search neighbourhood bitmasks, computed once per
+digraph: the non-symmetric out-neighbours (out & ~digon), the
+non-symmetric in-neighbours, both together, the digon partners, the
+neighbours and the non-neighbours.  Each constraint picks one of these
+rows.
+
+* `find_induced` maps template vertices 0, 1, ... in turn.  The
+  candidates for vertex i are `base[i] & ~used & AND_{p<i}
+  row[p][mapping[p]]`, where row[p] is the row of the constraint on
+  (p, i), and `base[i]` holds the hosts whose non-symmetric in-, out- and
+  total degrees, digon degree and degree reach what vertex i needs (a
+  digon counts toward neither non-symmetric degree).  The template
+  vertices below the first one that i must touch all need a non-neighbour,
+  so their rows are one mask: the complement of their hosts' joint
+  neighbourhood (a lollipop path vertex checks one row, not k).
+  Candidates are taken in ascending order, and the masks and bases only
+  drop hosts that fail a constraint, so the first embedding found is the
+  lexicographically smallest one, as with a plain loop over the hosts.
+* `find_lollipop` computes, once for all path lengths k, the *heads* (a
+  vertex with a digon pair among its non-symmetric in-neighbours, where
+  the path starts) and the *tails* (a digon pair among its non-symmetric
+  out-neighbours, where it ends), with the pairs themselves.  A digraph
+  without both has no lollipop.  Otherwise the search above runs per k,
+  smallest first, with template vertices 0 and 1 restricted to the
+  feeding pairs, 2 to the heads, k+1 to the tails and k+2, k+3 to the fed
+  pairs; the first hit is still the smallest k, then the smallest mapping.
+* `find_nonsym_induced_dicycle` grows paths from each start vertex in
+  ascending order.  The successors of the last vertex are its
+  non-symmetric out-neighbours above the start, off the path and off the
+  neighbourhoods of the interior vertices.  Of those, the ones with a
+  non-symmetric arc to the start close the cycle and the start's
+  non-neighbours extend the path; taking them in ascending order keeps the
+  depth-first order of the search by pairs.
+
+Both searches keep their own stack, so the length of a pattern is not
+limited by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .chordality import Variant, is_chordal
-from .digraph import Digraph, PairKind, pair_slots, symmetric_subdigraph
+from .digraph import Digraph, PairKind, bits, pair_slots, symmetric_subdigraph
 
 
 class EdgeConstraint(Enum):
@@ -51,12 +90,36 @@ _ALLOWED_KINDS = {
 class PatternTemplate:
     name: str
     k: int
-    constraints: dict[tuple[int, int], EdgeConstraint]
+    constraints: dict[tuple[int, int], EdgeConstraint]  # keyed by (i, j), i < j
 
     def constraint(self, i: int, j: int) -> EdgeConstraint:
         if i > j:
             i, j = j, i
         return self.constraints.get((i, j), EdgeConstraint.NON_ADJACENT)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """(need, cut, checks) for the mask search, computed once.
+
+        need[i] bounds the host degrees of template vertex i in the rows
+        1..5 of _Masks; every template vertex below cut[i] is non-adjacent
+        to i; checks[i] lists (p, row) for p = cut[i]..i-1.
+        """
+        need = [[0] * 5 for _ in range(self.k)]
+        cut = list(range(self.k))
+        for (i, j), con in self.constraints.items():
+            if con is EdgeConstraint.NON_ADJACENT:
+                continue
+            for r in _COUNTS[con]:
+                need[i][r - 1] += 1
+            for r in _COUNTS[_SEEN_FROM_J.get(con, con)]:
+                need[j][r - 1] += 1
+            cut[j] = min(cut[j], i)
+        checks = [
+            tuple((p, _ROW[self.constraint(p, i)]) for p in range(cut[i], i))
+            for i in range(self.k)
+        ]
+        return [tuple(x) for x in need], cut, checks
 
 
 @dataclass(frozen=True)
@@ -140,6 +203,10 @@ def lollipop_template(k: int) -> PatternTemplate:
     return PatternTemplate(f"lollipop{k}", k + 4, cons)
 
 
+# the detectors' own lollipop templates, so that their plans are reused
+_lollipop = lru_cache(maxsize=64)(lollipop_template)
+
+
 def expand_template(t: PatternTemplate) -> list[Digraph]:
     """All labeled digraphs that satisfy the template exactly."""
     slots = pair_slots(t.k)
@@ -159,96 +226,167 @@ def expand_template(t: PatternTemplate) -> list[Digraph]:
     return out
 
 
+# The six host masks a constraint can ask for, as rows of _Masks.rows:
+# row[u] is the set of hosts h whose pair with u, seen from u, meets it.
+_NON_NBR, _NS_OUT, _NS_IN, _NS, _DIGON, _NBR = range(6)
+_ROW = {
+    EdgeConstraint.NON_ADJACENT: _NON_NBR,
+    EdgeConstraint.ARC_FORWARD: _NS_OUT,
+    EdgeConstraint.ARC_BACKWARD: _NS_IN,
+    EdgeConstraint.NONSYM_EITHER: _NS,
+    EdgeConstraint.DIGON: _DIGON,
+    EdgeConstraint.ANY_ADJACENT: _NBR,
+}
+# rows 1..5 whose degree a partner under each constraint counts toward
+_COUNTS = {
+    EdgeConstraint.ARC_FORWARD: (_NS_OUT, _NS, _NBR),
+    EdgeConstraint.ARC_BACKWARD: (_NS_IN, _NS, _NBR),
+    EdgeConstraint.NONSYM_EITHER: (_NS, _NBR),
+    EdgeConstraint.DIGON: (_DIGON, _NBR),
+    EdgeConstraint.ANY_ADJACENT: (_NBR,),
+}
+# a constraint on the pair (i, j), seen from j
+_SEEN_FROM_J = {
+    EdgeConstraint.ARC_FORWARD: EdgeConstraint.ARC_BACKWARD,
+    EdgeConstraint.ARC_BACKWARD: EdgeConstraint.ARC_FORWARD,
+}
+
+
+class _Masks:
+    """The rows of one digraph, and the hosts that meet a degree bound."""
+
+    __slots__ = ("n", "rows", "_degrees", "_meeting")
+
+    def __init__(self, d: Digraph):
+        digon = d.digon_masks
+        nsout = [o & ~g for o, g in zip(d.out_masks, digon)]
+        nsin = [i & ~g for i, g in zip(d.in_masks, digon)]
+        nbr = [o | i for o, i in zip(d.out_masks, d.in_masks)]
+        full = (1 << d.n) - 1
+        non_nbr = [full & ~(b | 1 << v) for v, b in enumerate(nbr)]
+        ns = [o | i for o, i in zip(nsout, nsin)]
+        self.n = d.n
+        self.rows = (non_nbr, nsout, nsin, ns, digon, nbr)
+        self._degrees: Optional[list] = None
+        self._meeting: dict[tuple[int, ...], int] = {}
+
+    def meeting(self, need: tuple[int, ...]) -> int:
+        """Hosts whose degrees in rows 1..5 are at least `need`."""
+        mask = self._meeting.get(need)
+        if mask is None:
+            if self._degrees is None:
+                self._degrees = list(
+                    zip(*([m.bit_count() for m in row] for row in self.rows[1:]))
+                )
+            mask = 0
+            for h, deg in enumerate(self._degrees):
+                if all(map(operator.ge, deg, need)):
+                    mask |= 1 << h
+            self._meeting[need] = mask
+        return mask
+
+
+def _embed(m: _Masks, t: PatternTemplate, restrict: dict[int, int]) -> Optional[Embedding]:
+    """Lexicographically smallest embedding of t whose template vertex i
+    lies in restrict[i] wherever given; see the module docstring."""
+    k = t.k
+    if k > m.n:
+        return None
+    if k == 0:
+        return Embedding(t.name, ())
+    need, cut, checks = t._plan
+    base = [m.meeting(x) for x in need]
+    for i, mask in restrict.items():
+        base[i] &= mask
+    if not all(base):
+        return None
+    rows = m.rows
+    nbr = rows[_NBR]
+    mapping = [0] * k
+    cands = [0] * k  # untried hosts per template vertex
+    used = [0] * k  # used[i]: hosts of the template vertices below i
+    reach = [0] * k  # reach[i]: their neighbours
+    cands[0] = base[0]
+    i = 0
+    while i >= 0:
+        c = cands[i]
+        if not c:
+            i -= 1
+            continue
+        low = c & -c
+        cands[i] = c ^ low
+        h = low.bit_length() - 1
+        mapping[i] = h
+        if i + 1 == k:
+            return Embedding(t.name, tuple(mapping))
+        i += 1
+        used[i] = used[i - 1] | low
+        reach[i] = reach[i - 1] | nbr[h]
+        c = base[i] & ~(used[i] | reach[cut[i]])
+        for p, r in checks[i]:
+            if not c:
+                break
+            c &= rows[r][mapping[p]]
+        cands[i] = c
+    return None
+
+
 def find_induced(d: Digraph, t: PatternTemplate) -> Optional[Embedding]:
     """Lexicographically smallest injective embedding of t into d, if any."""
-    if t.k > d.n:
-        return None
-    # cheap per-template-vertex lower bounds for pruning
-    req_in = [0] * t.k
-    req_out = [0] * t.k
-    req_digon = [0] * t.k
-    req_nbr = [0] * t.k
-    for (i, j), con in t.constraints.items():
-        if con is EdgeConstraint.NON_ADJACENT:
-            continue
-        req_nbr[i] += 1
-        req_nbr[j] += 1
-        if con is EdgeConstraint.DIGON:
-            req_digon[i] += 1
-            req_digon[j] += 1
-            req_in[i] += 1
-            req_out[i] += 1
-            req_in[j] += 1
-            req_out[j] += 1
-        elif con is EdgeConstraint.ARC_FORWARD:
-            req_out[i] += 1
-            req_in[j] += 1
-        elif con is EdgeConstraint.ARC_BACKWARD:
-            req_in[i] += 1
-            req_out[j] += 1
-
-    indeg = [d.in_masks[v].bit_count() for v in range(d.n)]
-    outdeg = [d.out_masks[v].bit_count() for v in range(d.n)]
-    digdeg = [d.digon_masks[v].bit_count() for v in range(d.n)]
-    nbrdeg = [d.neighbor_mask(v).bit_count() for v in range(d.n)]
-
-    mapping = [-1] * t.k
-    used = [False] * d.n
-
-    def extend(i: int) -> bool:
-        if i == t.k:
-            return True
-        for h in range(d.n):
-            if used[h]:
-                continue
-            if (
-                indeg[h] < req_in[i]
-                or outdeg[h] < req_out[i]
-                or digdeg[h] < req_digon[i]
-                or nbrdeg[h] < req_nbr[i]
-            ):
-                continue
-            ok = True
-            for p in range(i):
-                kind = d.pair_kind(mapping[p], h)
-                if kind not in _ALLOWED_KINDS[t.constraint(p, i)]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[i] = h
-            used[h] = True
-            if extend(i + 1):
-                return True
-            used[h] = False
-        return False
-
-    if extend(0):
-        return Embedding(t.name, tuple(mapping))
-    return None
+    return _embed(_Masks(d), t, {})
 
 
 # fixed-direction templates first: cheapest and most constrained
 _FIG1_SEARCH_ORDER = ("fig1d", "fig1b", "fig1c", "fig1a")
 
 
-def find_any_fig1(d: Digraph) -> Optional[Embedding]:
+@lru_cache(maxsize=None)
+def _fig1_in_search_order() -> tuple[PatternTemplate, ...]:
     by_name = {t.name: t for t in fig1_templates()}
-    for name in _FIG1_SEARCH_ORDER:
-        hit = find_induced(d, by_name[name])
+    return tuple(by_name[name] for name in _FIG1_SEARCH_ORDER)
+
+
+def find_any_fig1(d: Digraph) -> Optional[Embedding]:
+    for t in _fig1_in_search_order():
+        hit = find_induced(d, t)
         if hit is not None:
             return hit
     return None
 
 
+def _pairs_inside(sides: list[int], digon: list[int]) -> tuple[int, int]:
+    """The vertices v whose mask sides[v] holds a digon pair, and the union
+    of all those pairs."""
+    has_digon = sum(1 << v for v, g in enumerate(digon) if g)
+    anchors = pairs = 0
+    for v, side in enumerate(sides):
+        side &= has_digon
+        found = 0
+        for x in bits(side):
+            if digon[x] & side:
+                found |= 1 << x | digon[x] & side
+        if found:
+            anchors |= 1 << v
+            pairs |= found
+    return anchors, pairs
+
+
 def find_lollipop(d: Digraph, k_max: Optional[int] = None) -> Optional[Embedding]:
     """First lollipop embedding over k = 1..k_max (default n-4)."""
-    if k_max is None:
-        k_max = d.n - 4
-    for k in range(1, k_max + 1):
-        if k + 4 > d.n:
-            break
-        hit = find_induced(d, lollipop_template(k))
+    top = d.n - 4 if k_max is None else min(k_max, d.n - 4)
+    if top < 1:
+        return None
+    m = _Masks(d)
+    heads, feeding = _pairs_inside(m.rows[_NS_IN], m.rows[_DIGON])
+    if not heads:
+        return None
+    tails, fed = _pairs_inside(m.rows[_NS_OUT], m.rows[_DIGON])
+    if not tails:
+        return None
+    for k in range(1, top + 1):
+        restrict = {0: feeding, 1: feeding, 2: heads, k + 2: fed, k + 3: fed}
+        restrict[k + 1] = tails if k > 1 else heads & tails
+        hit = _embed(m, _lollipop(k), restrict)
         if hit is not None:
             return hit
     return None
@@ -266,42 +404,39 @@ def find_nonsym_induced_dicycle(
     """
     if min_len < 3:
         raise ValueError("directed cycles need at least 3 vertices")
-
-    def extend(path: list[int]) -> Optional[tuple[int, ...]]:
-        last = path[-1]
-        first = path[0]
-        for w in range(first + 1, d.n):
-            if w in path:
-                continue
-            if d.pair_kind(last, w) is not PairKind.FORWARD:
-                continue
-            # w may touch nothing on the path except its predecessor and,
-            # when closing, the start
-            if any(d.adjacent(w, x) for x in path[1:-1]):
-                continue
-            if len(path) == 1:
-                # second vertex: its relation to the start is the path arc
-                path.append(w)
-                found = extend(path)
+    non_nbr, nsout, nsin, _, _, nbr = _Masks(d).rows
+    full = (1 << d.n) - 1
+    for first in range(d.n):
+        above = full & ~((2 << first) - 1)
+        closing = nsin[first] & above
+        if not closing or not nsout[first] & above:
+            continue
+        onward = closing | non_nbr[first] & above
+        # cands[j]: untried successors of path[j]; blocked[j]: the path up
+        # to path[j] and the neighbours of its interior vertices
+        path = [first]
+        cands = [nsout[first] & above]
+        blocked = [1 << first]
+        while cands:
+            c = cands[-1]
+            if not c:
+                cands.pop()
+                blocked.pop()
                 path.pop()
-                if found is not None:
-                    return found
                 continue
-            back = d.pair_kind(w, first)
-            if back is PairKind.FORWARD and len(path) + 1 >= min_len:
-                return tuple(path) + (w,)
-            if back is PairKind.NONE:
-                path.append(w)
-                found = extend(path)
-                path.pop()
-                if found is not None:
-                    return found
-        return None
-
-    for start in range(d.n):
-        found = extend([start])
-        if found is not None:
-            return found
+            low = c & -c
+            cands[-1] = c ^ low
+            w = low.bit_length() - 1
+            if low & closing:  # never the second vertex: that one is an out-neighbour
+                if len(path) + 1 >= min_len:
+                    return tuple(path) + (w,)
+                continue
+            b = blocked[-1] | low
+            if len(path) > 1:
+                b |= nbr[path[-1]]
+            path.append(w)
+            blocked.append(b)
+            cands.append(nsout[w] & onward & ~b)
     return None
 
 

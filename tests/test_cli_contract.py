@@ -1,15 +1,25 @@
 """The CLI's exit-code contract, resource bounds on `verify`, and the
-vertex-count bound on parsed files."""
+vertex-count bound on parsed files and generated digraphs."""
 
+import hashlib
 import inspect
 import io
 import os
+import random
 
 import pytest
 
 from dichordal import verify
+from dichordal.classes import generate_wqt
 from dichordal.cli import CHECKS, build_parser, main
-from dichordal.digraph import MAX_VERTICES, parse_labeled
+from dichordal.digraph import (
+    MAX_VERTICES,
+    Digraph,
+    digraph_count,
+    parse_labeled,
+    random_digraph,
+    serialize,
+)
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
@@ -86,3 +96,57 @@ def test_verify_keeps_an_explicit_zero_sample_count(capsys):
     assert code == 0
     assert "samples=0" in out.splitlines()[1]
     assert "instances: total=0 " in out
+
+
+def _rejected(capsys, argv) -> str:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--n", "-1"], ["gen", "--class", "random", "--n", "-3"]]
+)
+def test_negative_vertex_counts_exit_2(capsys, argv):
+    assert _rejected(capsys, argv) == "error: vertex count must be nonnegative\n"
+    with pytest.raises(ValueError, match="nonnegative"):
+        Digraph(-1, [0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        digraph_count(-1)
+
+
+@pytest.mark.parametrize("klass", ["random", "locally-semicomplete"])
+def test_gen_rejects_more_vertices_than_the_parser(capsys, klass):
+    n = MAX_VERTICES + 1
+    err = _rejected(capsys, ["gen", "--class", klass, "--n", str(n)])
+    assert err == f"error: vertex count {n} exceeds the limit of {MAX_VERTICES}\n"
+
+
+def test_gen_wqt_stops_at_the_vertex_limit(capsys):
+    # both ran for more than 20 s before the limit; the parts are drawn
+    # and counted before anything is substituted
+    err = _rejected(capsys, ["gen", "--class", "wqt", "--depth", "40", "--width", "40"])
+    assert err == f"error: generated digraph exceeds the limit of {MAX_VERTICES} vertices\n"
+    width = MAX_VERTICES * 4
+    assert random.Random(0).randint(1, width) > MAX_VERTICES  # seed 0's base order
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        generate_wqt(0, depth=1, width=width)
+
+
+def test_gen_wqt_output_below_the_limit_unchanged():
+    h = hashlib.sha256()
+    for depth, width in [(1, 5), (2, 3), (3, 4), (4, 3), (2, 8)]:
+        for seed in range(40):
+            h.update(serialize(generate_wqt(seed, depth=depth, width=width)).encode())
+    # captured before the limit was added
+    assert h.hexdigest() == "4d9bfb577f496acc37e1476b1d37c542a891f5ba02ce92c068b93513d25e6620"
+
+
+@pytest.mark.parametrize("weights", ["nan,1,1,1", "1,inf,1,1", "1,1,-inf,1", "1,1,1,nan"])
+def test_gen_rejects_non_finite_weights(capsys, weights):
+    err = _rejected(capsys, ["gen", "--class", "random", "--n", "4", f"--weights={weights}"])
+    assert err == "error: kind_weights must be 4 finite nonnegative numbers\n"
+    with pytest.raises(ValueError, match="finite"):
+        random_digraph(4, tuple(float(w) for w in weights.split(",")))
