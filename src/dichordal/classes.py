@@ -23,12 +23,13 @@ from .digraph import (
     MAX_VERTICES,
     Digraph,
     bits,
-    build,
     check_vertex_count,
+    from_out_masks,
     pair_slots,
     slot_index,
     substitute,
 )
+from .digraph import build  # noqa: F401  -- perfbench's tracer binds this name
 
 
 def _semicomplete_violation(d: Digraph) -> Optional[tuple[int, int]]:
@@ -198,76 +199,63 @@ def _random_transitive_oriented(rng: random.Random, n: int) -> Digraph:
         for j in range(i + 1, n):
             if rng.random() < 0.5:
                 reach[i] |= (1 << j) | reach[j]
-    return build(n, [(i, j) for i in range(n) for j in bits(reach[i])])
+    return from_out_masks(reach)
 
 
 def _random_semicomplete(rng: random.Random, n: int) -> Digraph:
-    arcs = []
-    for j in range(1, n):
-        for i in range(j):
-            k = rng.randrange(3)
-            if k != 1:
-                arcs.append((i, j))
-            if k != 0:
-                arcs.append((j, i))
-    return build(n, arcs)
+    # one draw per pair in slot order: 0 -> i->j, 1 -> j->i, 2 -> digon
+    return Digraph(n, [rng.randrange(3) + 1 for _ in range(n * (n - 1) // 2)])
 
 
 def _random_symmetric(rng: random.Random, n: int) -> Digraph:
-    arcs = []
-    for j in range(1, n):
-        for i in range(j):
-            if rng.random() < 0.5:
-                arcs.extend([(i, j), (j, i)])
-    return build(n, arcs)
+    return Digraph(n, [3 if rng.random() < 0.5 else 0 for _ in range(n * (n - 1) // 2)])
 
 
 def generate_wqt(seed: int, depth: int = 2, width: int = 3) -> Digraph:
-    """Random weakly quasi-transitive digraph, built by recursive substitution.
+    """Random weakly quasi-transitive digraph, built by repeated substitution.
 
     Depth 1 draws one of the three base classes (transitive oriented,
-    semicomplete, symmetric) on 1..width vertices; deeper levels substitute
-    recursively generated digraphs into a fresh base digraph.  Deterministic
-    per seed.  Raises ValueError, before substituting anything, as soon as
-    a base digraph or the parts drawn for one exceed MAX_VERTICES vertices
-    in total.
+    semicomplete, symmetric) on 1..width vertices; a deeper level draws a
+    base digraph and substitutes one depth-(level - 1) digraph for each of
+    its vertices.  Deterministic per seed.
+
+    Runs without recursion: every base digraph is drawn first, depth-first
+    with an explicit stack in generation order, then the drawn nodes are
+    substituted in reverse draw order, so children come before parents.
+    A base digraph on k vertices replaces one vertex by k, so the final
+    order is at least 1 + sum(k - 1) over the bases drawn so far.
+    ValueError is raised, before anything is substituted, as soon as that
+    exceeds MAX_VERTICES, and for a depth above MAX_VERTICES; so the draw
+    stack holds at most MAX_VERTICES levels and the node list is bounded.
     """
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be at least 1")
+    if depth > MAX_VERTICES:
+        raise ValueError(f"depth {depth} exceeds the limit of {MAX_VERTICES}")
     rng = random.Random(seed)
-
-    def base() -> Digraph:
+    builders = (_random_transitive_oriented, _random_semicomplete, _random_symmetric)
+    nodes: list[tuple[int, Digraph]] = []  # (level, base digraph), in draw order
+    stack = [depth]  # levels of the parts still to draw, next one on top
+    order = 1  # level-1 vertices drawn plus parts still to draw; >= stack size
+    while stack:
+        level = stack.pop()
         n = rng.randint(1, width)
         check_vertex_count(n)
-        builder = (
-            _random_transitive_oriented,
-            _random_semicomplete,
-            _random_symmetric,
-        )[rng.randrange(3)]
-        return builder(rng, n)
-
-    def draw(level: int) -> tuple[Digraph, list, int]:
-        # (base digraph, drawn parts, order), making every random draw in
-        # generation order; nothing is substituted until the order is known
-        host = base()
-        if level == 1:
-            return host, [], host.n
-        parts = []
-        total = 0
-        for _ in range(host.n):
-            parts.append(draw(level - 1))
-            total += parts[-1][2]
-            if total > MAX_VERTICES:
-                raise ValueError(
-                    f"generated digraph exceeds the limit of {MAX_VERTICES} vertices"
-                )
-        return host, parts, total
-
-    def assemble(node: tuple[Digraph, list, int]) -> Digraph:
-        host, parts, _ = node
-        return substitute(host, [assemble(p) for p in parts]) if parts else host
-
-    return assemble(draw(depth))
+        host = builders[rng.randrange(3)](rng, n)
+        order += n - 1
+        if order > MAX_VERTICES:
+            raise ValueError(
+                f"generated digraph exceeds the limit of {MAX_VERTICES} vertices"
+            )
+        nodes.append((level, host))
+        if level > 1:
+            stack.extend([level - 1] * n)
+    done: list[Digraph] = []  # finished digraphs; a node's first part is on top
+    for level, host in reversed(nodes):
+        if level > 1:
+            host = substitute(host, [done.pop() for _ in range(host.n)])
+        done.append(host)
+    return done[0]
 
 
 def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
@@ -321,4 +309,4 @@ def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
         out[y] |= 1 << x
         inn[y] |= 1 << x
         v = min(v, x, y)
-    return build(n, [(u, w) for u in range(n) for w in bits(out[u])])
+    return from_out_masks(out)

@@ -8,6 +8,15 @@ enumeration a counter, sharding a range split, and equality structural.
 
 Neighbourhoods are kept as int bitmasks; all operations are pure and
 Digraph values are immutable, so they can be shared freely.
+
+A Digraph is made from whatever its producer already holds:
+
+- pair codes, in slot order: `Digraph(n, codes)` (enumeration, the random
+  generators that draw one code per pair, induced subdigraphs);
+- out-neighbourhood masks: `from_out_masks(out)` (generators that grow
+  masks, `substitute`);
+- arcs from outside, such as a parsed file, a literal or a caller of the
+  public API: `build(n, arcs)`.
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ class Digraph:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={sorted(self.arcs())})"
+        return f"Digraph(n={self.n}, arcs={list(self.arcs())})"
 
     # -- queries ------------------------------------------------------------
 
@@ -153,6 +162,22 @@ def build(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph(n, codes)
 
 
+def from_out_masks(out: Sequence[int]) -> Digraph:
+    """Digraph on len(out) vertices whose vertex u has out-neighbours out[u].
+
+    Raises ValueError on a loop bit or a bit outside 0..n-1, like build().
+    """
+    n = len(out)
+    for u, mask in enumerate(out):
+        if mask < 0 or mask >> n:
+            raise ValueError(f"out-mask of vertex {u} has a bit outside 0..{n - 1}")
+        if mask >> u & 1:
+            raise ValueError(f"loop arc ({u},{u}) not allowed")
+    return Digraph(
+        n, [(out[i] >> j & 1) | (out[j] >> i & 1) << 1 for j in range(1, n) for i in range(j)]
+    )
+
+
 def asynchronous(d: Digraph, v: int, u: int, w: int) -> bool:
     """True iff u and w sit in different cells of {in-only, out-only, both} at v.
 
@@ -202,19 +227,19 @@ def substitute(d: Digraph, parts: Sequence[Digraph] | Mapping[int, Digraph]) -> 
     if any(p.n == 0 for p in blocks):
         raise ValueError("substitution parts must be nonempty")
     offsets = [0] * d.n
+    spans = [0] * d.n
     total = 0
     for v, p in enumerate(blocks):
         offsets[v] = total
+        spans[v] = ((1 << p.n) - 1) << total
         total += p.n
-    arcs: list[tuple[int, int]] = []
+    out = []
     for v, p in enumerate(blocks):
-        base = offsets[v]
-        arcs.extend((base + x, base + y) for x, y in p.arcs())
-    for u, v in d.arcs():
-        for x in range(blocks[u].n):
-            for y in range(blocks[v].n):
-                arcs.append((offsets[u] + x, offsets[v] + y))
-    return build(total, arcs)
+        cross = 0
+        for w in bits(d.out_masks[v]):
+            cross |= spans[w]
+        out.extend(m << offsets[v] | cross for m in p.out_masks)
+    return from_out_masks(out)
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -376,7 +401,7 @@ def check_vertex_count(n: int) -> None:
 
 def serialize(d: Digraph, names: Mapping[int, str] | None = None) -> str:
     lines = [f"{d.n} {d.arc_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(d.arcs()))
+    lines.extend(f"{u} {v}" for u, v in d.arcs())
     if names:
         lines.extend(f"# {v} {names[v]}" for v in sorted(names))
     return "\n".join(lines) + "\n"

@@ -179,7 +179,7 @@ def knotting_graph(d: Digraph) -> KnottingGraph:
             for arc in cls.members:
                 arc_class[(cls.owner, arc)] = cls.id
     edges = []
-    for arc in sorted(d.arcs()):
+    for arc in d.arcs():
         u, w = arc
         edges.append(KnottingEdge(arc, arc_class[(u, arc)], arc_class[(w, arc)]))
     return KnottingGraph(

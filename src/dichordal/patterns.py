@@ -57,6 +57,7 @@ limited by Python's recursion limit.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -209,21 +210,10 @@ _lollipop = lru_cache(maxsize=64)(lollipop_template)
 
 def expand_template(t: PatternTemplate) -> list[Digraph]:
     """All labeled digraphs that satisfy the template exactly."""
-    slots = pair_slots(t.k)
-    options = [[int(kind) for kind in _ALLOWED_KINDS[t.constraint(i, j)]] for i, j in slots]
-    out = []
-
-    def fill(s: int, codes: list[int]) -> None:
-        if s == len(slots):
-            out.append(Digraph(t.k, codes))
-            return
-        for code in options[s]:
-            codes.append(code)
-            fill(s + 1, codes)
-            codes.pop()
-
-    fill(0, [])
-    return out
+    options = [
+        [int(kind) for kind in _ALLOWED_KINDS[t.constraint(i, j)]] for i, j in pair_slots(t.k)
+    ]
+    return [Digraph(t.k, codes) for codes in itertools.product(*options)]
 
 
 # The six host masks a constraint can ask for, as rows of _Masks.rows:

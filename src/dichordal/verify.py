@@ -417,15 +417,6 @@ def _deletion_derived_mismatch(d: Digraph, v: int, k_old=None) -> Optional[str]:
     h = induced(d, keep)
     k_new = knotting_graph(h)
 
-    old_lookup = {}
-    for cls in k_old.classes:
-        for arc in cls.members:
-            old_lookup[(cls.owner, arc)] = cls.id
-    new_lookup = {}
-    for cls in k_new.classes:
-        for arc in cls.members:
-            new_lookup[(cls.owner, arc)] = cls.id
-
     for u in keep:
         if len(k_old.group(u)) != len(k_new.group(relabel[u])):
             return f"class count changes at vertex {u}"
@@ -434,8 +425,10 @@ def _deletion_derived_mismatch(d: Digraph, v: int, k_old=None) -> Optional[str]:
         for x, y in d.arcs():
             if v in (x, y) or u not in (x, y):
                 continue
-            old_id = old_lookup[(u, (x, y))]
-            new_id = new_lookup[(relabel[u], (relabel[x], relabel[y]))]
+            # an edge's class at u: `.a` when u is the tail, `.b` when the head
+            old = k_old.arc_to_edge[(x, y)]
+            new = k_new.arc_to_edge[(relabel[x], relabel[y])]
+            old_id, new_id = (old.a, new.a) if u == x else (old.b, new.b)
             if fwd.setdefault(old_id, new_id) != new_id:
                 return f"class of vertex {u} splits"
             if rev.setdefault(new_id, old_id) != old_id:

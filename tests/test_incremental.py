@@ -45,17 +45,17 @@ def test_generator_output_is_pinned():
 
 def test_generator_builds_once(monkeypatch):
     calls = []
-    real = classes.build
+    real = classes.from_out_masks
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(classes, "build", counting)
+    monkeypatch.setattr(classes, "from_out_masks", counting)
     for seed in range(200):
         calls.clear()
         generate_locally_semicomplete(seed, 6 + seed % 3)
-        assert len(calls) <= 1
+        assert len(calls) == 1
 
 
 def _reference_violation(d):
