@@ -25,8 +25,6 @@ from .digraph import (
     bits,
     check_vertex_count,
     from_out_masks,
-    pair_slots,
-    slot_index,
     substitute,
 )
 from .digraph import build  # noqa: F401  -- perfbench's tracer binds this name
@@ -121,18 +119,21 @@ def is_extended_semicomplete(d: Digraph) -> bool:
     return _ext_semicomplete_violation(d) is None
 
 
-def _symmetric_violation(d: Digraph) -> Optional[tuple[int, int]]:
-    for i, j in pair_slots(d.n):
-        if d.codes[slot_index(i, j)] in (1, 2):
-            return (i, j)
+def _first_pair(masks) -> Optional[tuple[int, int]]:
+    # first pair (i, j), i < j, in slot order with i in masks[j]
+    for j, mask in enumerate(masks):
+        below = mask & ((1 << j) - 1)
+        if below:
+            return ((below & -below).bit_length() - 1, j)
     return None
+
+
+def _symmetric_violation(d: Digraph) -> Optional[tuple[int, int]]:
+    return _first_pair(o ^ i for o, i in zip(d.out_masks, d.in_masks))
 
 
 def _oriented_violation(d: Digraph) -> Optional[tuple[int, int]]:
-    for i, j in pair_slots(d.n):
-        if d.codes[slot_index(i, j)] == 3:
-            return (i, j)
-    return None
+    return _first_pair(d.digon_masks)
 
 
 def _transitive_oriented_violation(d: Digraph):

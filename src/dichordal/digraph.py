@@ -1,22 +1,28 @@
-"""Loop-free digraphs with digons, stored as 2-bit codes per unordered pair.
+"""Loop-free digraphs with digons, stored as neighbourhood bitmasks.
 
-Every unordered pair {i, j} (i < j) carries exactly one of four codes:
-0 = non-adjacent, 1 = arc i->j, 2 = arc j->i, 3 = digon (both arcs).
-Pairs are ordered (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),... so a digraph on
-n vertices is a base-4 number with n(n-1)/2 digits.  That makes exhaustive
-enumeration a counter, sharding a range split, and equality structural.
+A Digraph is its masks: bit v of out_masks[u] is the arc u->v, in_masks
+is the transpose and digon_masks their AND.  Equality and hashing are by
+(n, out_masks).  Digraph values are immutable, so they can be shared.
 
-Neighbourhoods are kept as int bitmasks; all operations are pure and
-Digraph values are immutable, so they can be shared freely.
+Pair codes are derived from the masks.  Every unordered pair {i, j}
+(i < j) carries exactly one of four codes: 0 = non-adjacent, 1 = arc
+i->j, 2 = arc j->i, 3 = digon (both arcs).  Pairs are ordered
+(0,1),(0,2),(1,2),(0,3),(1,3),(2,3),... so a digraph on n vertices is a
+base-4 number with n(n-1)/2 digits, and exhaustive enumeration is a
+counter in that unchanged order.  `d.codes` is computed on first use and
+cached, so a large digraph never asked for its codes never holds them.
 
 A Digraph is made from whatever its producer already holds:
 
-- pair codes, in slot order: `Digraph(n, codes)` (enumeration, the random
-  generators that draw one code per pair, induced subdigraphs);
+- pair codes in slot order, each in 0..3: `Digraph(n, codes)`
+  (enumeration, generators that draw one code per pair); they are kept;
 - out-neighbourhood masks: `from_out_masks(out)` (generators that grow
   masks, `substitute`);
 - arcs from outside, such as a parsed file, a literal or a caller of the
   public API: `build(n, arcs)`.
+
+Those two, `induced` and `symmetric_subdigraph` write masks straight into
+the one private mask constructor, `_from_masks`, without any codes.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ class PairKind(IntEnum):
     DIGON = 3     # both arcs
 
 
-# kind seen from (v, u) given the kind seen from (u, v)
-_FLIP = (PairKind.NONE, PairKind.BACKWARD, PairKind.FORWARD, PairKind.DIGON)
+_KINDS = tuple(PairKind)
 
 
 def pair_slots(n: int) -> list[tuple[int, int]]:
@@ -62,29 +67,53 @@ def bits(mask: int) -> Iterator[int]:
 class Digraph:
     """Immutable digraph on vertices 0..n-1 without loops or multi-arcs."""
 
-    __slots__ = ("n", "codes", "out_masks", "in_masks", "digon_masks", "_hash")
+    __slots__ = ("n", "out_masks", "in_masks", "digon_masks", "_codes")
 
     def __init__(self, n: int, codes: Sequence[int]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        codes = tuple(codes)
         m = n * (n - 1) // 2
         if len(codes) != m:
             raise ValueError(f"expected {m} pair codes for n={n}, got {len(codes)}")
-        self.n = n
-        self.codes = tuple(codes)
+        if codes and not (0 <= min(codes) and max(codes) <= 3):
+            raise ValueError("pair codes must lie in 0..3")
         out = [0] * n
         inn = [0] * n
-        for (i, j), c in zip(pair_slots(n), self.codes):
-            if c & 1:  # arc i->j
-                out[i] |= 1 << j
-                inn[j] |= 1 << i
-            if c & 2:  # arc j->i
-                out[j] |= 1 << i
-                inn[i] |= 1 << j
-        self.out_masks = tuple(out)
-        self.in_masks = tuple(inn)
+        s = 0
+        for j in range(1, n):  # column j holds the pairs (0, j) .. (j-1, j)
+            bit_j = 1 << j
+            to_j = from_j = 0
+            for i, c in enumerate(codes[s:s + j]):
+                if c & 1:  # arc i->j
+                    out[i] |= bit_j
+                    to_j |= 1 << i
+                if c & 2:  # arc j->i
+                    inn[i] |= bit_j
+                    from_j |= 1 << i
+            out[j] = from_j
+            inn[j] = to_j
+            s += j
+        self._set(tuple(out), tuple(inn), codes)
+
+    def _set(self, out: tuple[int, ...], inn: tuple[int, ...], codes) -> None:
+        self.n = len(out)
+        self.out_masks = out
+        self.in_masks = inn
         self.digon_masks = tuple(a & b for a, b in zip(out, inn))
-        self._hash = hash((n, self.codes))
+        self._codes = codes
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        """Pair codes in slot order, derived from the masks on first use."""
+        if self._codes is None:
+            out, inn = self.out_masks, self.in_masks
+            self._codes = tuple(
+                (inn[j] >> i & 1) | (out[j] >> i & 1) << 1
+                for j in range(1, self.n)
+                for i in range(j)
+            )
+        return self._codes
 
     # -- structural equality ------------------------------------------------
 
@@ -92,11 +121,11 @@ class Digraph:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.codes == other.codes
+            and self.out_masks == other.out_masks
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.out_masks))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={list(self.arcs())})"
@@ -105,11 +134,11 @@ class Digraph:
 
     def pair_kind(self, u: int, v: int) -> PairKind:
         """Adjacency kind of {u, v} oriented as (u, v)."""
+        self._check_vertex(u)
+        self._check_vertex(v)
         if u == v:
             raise ValueError("pair_kind needs two distinct vertices")
-        if u < v:
-            return PairKind(self.codes[slot_index(u, v)])
-        return _FLIP[self.codes[slot_index(v, u)]]
+        return _KINDS[(self.out_masks[u] >> v & 1) | (self.in_masks[u] >> v & 1) << 1]
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out_masks[u] >> v & 1)
@@ -142,6 +171,15 @@ class Digraph:
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
 
 
+def _from_masks(out: tuple[int, ...], inn: tuple[int, ...]) -> Digraph:
+    """The one mask constructor: `inn` must be the transpose of `out`.
+
+    The pair codes are left to be derived on first use."""
+    d = Digraph.__new__(Digraph)
+    d._set(out, inn, None)
+    return d
+
+
 def build(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Digraph with exactly the given arcs; duplicates collapse.
 
@@ -149,17 +187,16 @@ def build(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    codes = [0] * (n * (n - 1) // 2)
+    out = [0] * n
+    inn = [0] * n
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"arc ({u},{v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError(f"loop arc ({u},{v}) not allowed")
-        if u < v:
-            codes[slot_index(u, v)] |= 1
-        else:
-            codes[slot_index(v, u)] |= 2
-    return Digraph(n, codes)
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return _from_masks(tuple(out), tuple(inn))
 
 
 def from_out_masks(out: Sequence[int]) -> Digraph:
@@ -168,14 +205,16 @@ def from_out_masks(out: Sequence[int]) -> Digraph:
     Raises ValueError on a loop bit or a bit outside 0..n-1, like build().
     """
     n = len(out)
+    inn = [0] * n
     for u, mask in enumerate(out):
         if mask < 0 or mask >> n:
             raise ValueError(f"out-mask of vertex {u} has a bit outside 0..{n - 1}")
         if mask >> u & 1:
             raise ValueError(f"loop arc ({u},{u}) not allowed")
-    return Digraph(
-        n, [(out[i] >> j & 1) | (out[j] >> i & 1) << 1 for j in range(1, n) for i in range(j)]
-    )
+        bit_u = 1 << u
+        for v in bits(mask):
+            inn[v] |= bit_u
+    return _from_masks(tuple(out), tuple(inn))
 
 
 def asynchronous(d: Digraph, v: int, u: int, w: int) -> bool:
@@ -196,7 +235,7 @@ def asynchronous(d: Digraph, v: int, u: int, w: int) -> bool:
 
 def symmetric_subdigraph(d: Digraph) -> Digraph:
     """Spanning subdigraph keeping exactly the arcs that lie in digons."""
-    return Digraph(d.n, [c if c == 3 else 0 for c in d.codes])
+    return _from_masks(d.digon_masks, d.digon_masks)
 
 
 def induced(d: Digraph, vertices: Iterable[int]) -> Digraph:
@@ -208,12 +247,25 @@ def induced(d: Digraph, vertices: Iterable[int]) -> Digraph:
     vs = sorted(set(vertices))
     if vs and not (0 <= vs[0] and vs[-1] < d.n):
         raise ValueError("induced set must be a subset of the vertex range")
-    k = len(vs)
-    codes = [0] * (k * (k - 1) // 2)
-    for j in range(1, k):
-        for i in range(j):
-            codes[slot_index(i, j)] = d.codes[slot_index(vs[i], vs[j])]
-    return Digraph(k, codes)
+    rank = [0] * d.n  # rank[v]: the bit of old vertex v in the new masks
+    keep = 0
+    for i, v in enumerate(vs):
+        rank[v] = 1 << i
+        keep |= 1 << v
+    return _from_masks(_gather(d.out_masks, vs, keep, rank), _gather(d.in_masks, vs, keep, rank))
+
+
+def _gather(masks, vs, keep, rank) -> tuple[int, ...]:
+    rows = []
+    for v in vs:
+        m = masks[v] & keep
+        row = 0
+        while m:
+            low = m & -m
+            row |= rank[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return tuple(rows)
 
 
 def substitute(d: Digraph, parts: Sequence[Digraph] | Mapping[int, Digraph]) -> Digraph:
@@ -257,7 +309,7 @@ def are_isomorphic(d1: Digraph, d2: Digraph) -> bool:
     """Arc-kind-preserving bijection test; intended for small orders."""
     if d1.n != d2.n:
         return False
-    if d1.codes == d2.codes:
+    if d1 == d2:
         return True
     inv1 = [_invariant(d1, v) for v in range(d1.n)]
     inv2 = [_invariant(d2, v) for v in range(d2.n)]
@@ -463,13 +515,14 @@ def to_dot(d: Digraph, names: Mapping[int, str] | None = None) -> str:
     lines = ["digraph D {"]
     for v in range(d.n):
         lines.append(f'  {v} [label="{label(v)}"];')
-    for i, j in pair_slots(d.n):
-        kind = d.pair_kind(i, j)
-        if kind is PairKind.FORWARD:
-            lines.append(f"  {i} -> {j};")
-        elif kind is PairKind.BACKWARD:
-            lines.append(f"  {j} -> {i};")
-        elif kind is PairKind.DIGON:
-            lines.append(f"  {i} -> {j} [dir=both];")
+    for j in range(1, d.n):  # pairs (i, j) in slot order
+        to_j, from_j = d.in_masks[j], d.out_masks[j]
+        for i in bits((to_j | from_j) & ((1 << j) - 1)):
+            if not from_j >> i & 1:
+                lines.append(f"  {i} -> {j};")
+            elif not to_j >> i & 1:
+                lines.append(f"  {j} -> {i};")
+            else:
+                lines.append(f"  {i} -> {j} [dir=both];")
     lines.append("}")
     return "\n".join(lines) + "\n"
