@@ -256,6 +256,7 @@ def induced(d: Digraph, vertices: Iterable[int]) -> Digraph:
 
 
 def _gather(masks, vs, keep, rank) -> tuple[int, ...]:
+    """masks[v] for each v in vs, restricted to `keep` and renumbered by rank."""
     rows = []
     for v in vs:
         m = masks[v] & keep
@@ -437,9 +438,9 @@ def random_digraph(
 # so parse(serialize(d)) == d byte-for-byte on the way back out as well.
 
 # Largest vertex count parse() and the generators accept.  The
-# representation is dense -- n(n-1)/2 pair codes are allocated before any
-# arc is read -- so a header or a size option must not be able to ask for
-# billions of them.
+# representation is dense -- n masks of n bits, and n(n-1)/2 pair codes
+# once asked for -- so a header or a size option must not be able to ask
+# for billions of bits.
 MAX_VERTICES = 4096
 
 
