@@ -25,6 +25,12 @@ loop keeps the failed vertices in a `stuck` mask, clears it only on the
 neighbours of each deleted vertex, and tests the rest in ascending order.
 It deletes exactly the vertex a full rescan from vertex 0 would, and
 stalls on the same set, in O(n + sum of degrees) tests instead of O(n^2).
+
+`_greedy` inlines the di-simplicial test as one flat loop over the masks:
+the candidates `alive & ~stuck` and each candidate's alive in-neighbours
+are walked lowest bit first, and STRICT runs the same loop with both
+sides set to all neighbours.  `_di_simplicial_in` stays the single-vertex
+definition, for `is_di_simplicial` and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -114,21 +120,41 @@ def _greedy(d: Digraph, variant: Variant) -> tuple[list[int], int]:
     `stuck` holds alive vertices already found not di-simplicial in the
     current alive set; only a deletion among a vertex's neighbours can
     change that, so each deletion clears `stuck` on the neighbours only.
+    The candidates are `alive & ~stuck`, lowest first.
+
+    The test is `_di_simplicial_in`, inlined: v fails when some alive
+    in-neighbour u has an alive out-neighbour w != u of v that is not in
+    `required[u]`.  STRICT is the same test with both sides taken as all
+    neighbours and digons required.
     """
-    alive = (1 << d.n) - 1
+    if variant is Variant.STRICT:
+        nbr = [i | o for i, o in zip(d.in_masks, d.out_masks)]
+        ins, outs, required = nbr, nbr, d.digon_masks
+    else:
+        ins, outs = d.in_masks, d.out_masks
+        required = d.digon_masks if variant is Variant.SEMI_STRICT else outs
+    alive = cand = (1 << d.n) - 1
     stuck = 0
     order = []
-    while alive:
-        for v in bits(alive & ~stuck):
-            if _di_simplicial_in(d, v, variant, alive):
-                order.append(v)
-                alive &= ~(1 << v)
-                stuck &= ~(d.out_masks[v] | d.in_masks[v])
+    while cand:
+        lv = cand & -cand
+        v = lv.bit_length() - 1
+        outv = outs[v] & alive
+        us = ins[v] & alive if outv else 0
+        while us:
+            lu = us & -us
+            if outv & ~lu & ~required[lu.bit_length() - 1]:
                 break
-            stuck |= 1 << v
+            us ^= lu
+        if us:  # the loop broke: v is not di-simplicial
+            stuck |= lv
+            cand ^= lv
         else:
-            return order, alive
-    return order, 0
+            order.append(v)
+            alive ^= lv
+            stuck &= ~(outs[v] | ins[v])
+            cand = alive & ~stuck
+    return order, alive
 
 
 def elimination_ordering(d: Digraph, variant: Variant) -> Optional[EliminationOrdering]:

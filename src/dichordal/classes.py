@@ -204,8 +204,16 @@ def _random_transitive_oriented(rng: random.Random, n: int) -> Digraph:
 
 
 def _random_semicomplete(rng: random.Random, n: int) -> Digraph:
-    # one draw per pair in slot order: 0 -> i->j, 1 -> j->i, 2 -> digon
-    return Digraph(n, [rng.randrange(3) + 1 for _ in range(n * (n - 1) // 2)])
+    # one randrange(3) per pair in slot order: 0 -> i->j, 1 -> j->i, 2 -> digon;
+    # drawn as randrange draws it, getrandbits(2) until below 3
+    getrandbits = rng.getrandbits
+    codes = []
+    for _ in range(n * (n - 1) // 2):
+        k = getrandbits(2)
+        while k == 3:
+            k = getrandbits(2)
+        codes.append(k + 1)
+    return Digraph(n, codes)
 
 
 def _random_symmetric(rng: random.Random, n: int) -> Digraph:
@@ -263,51 +271,78 @@ def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
     """Random locally semicomplete digraph: round construction, then repair.
 
     Vertices sit on a cycle; each sends arcs along a random-length forward
-    interval (one `randint` per vertex, in vertex order), then each forward
-    arc, in sorted order, becomes a digon with probability 0.3.  Repair then
-    takes the first neighbourhood violation (v, x, y) in the order of
-    `_locally_semicomplete_violation` -- smallest v, in-side before
-    out-side, then smallest x, then smallest y -- and adds the digon x-y,
-    until none is left.  Each repair adds adjacency, so the loop terminates
-    (the complete symmetric digraph is a fixed point).
+    interval (one `randint(0, n - 1)` per vertex, in vertex order), then
+    each forward arc, in sorted order, becomes a digon with probability
+    0.3.  Repair then joins by a digon every two non-adjacent vertices x, y
+    that lie in one side (the in- or the out-neighbourhood) of some vertex,
+    that is, that have a common in- or out-neighbour, until no such pair
+    is left.  Each repair adds adjacency, so it terminates (the complete
+    symmetric digraph is a fixed point).
 
-    The repair works on neighbourhood bitmasks.  Adding x-y grows only the
-    sides of x and y, and adjacency only grows, so no vertex below v other
-    than x or y can gain a violation: the next scan starts at min(v, x, y)
-    and still finds the first violation of a scan from vertex 0.
+    The repaired digraph is the least closure, so the order of repairs
+    does not change it.  Every repair is forced: once x and y share a side
+    they share it in every later state, and they were non-adjacent at the
+    start, so every finished repair sequence must join them too.  Repair
+    is therefore a worklist over vertices on neighbourhood bitmasks.  Only
+    a vertex that gains a neighbour gains a common neighbour with anyone,
+    so each step joins one vertex to every non-adjacent vertex it shares
+    a side with, and re-queues only the vertices that gained a neighbour.
 
-    The output is a fixed function of (seed, n); seeded theorem-5 reports
-    depend on it, so the draw and repair order above must not change.
-    n must lie in 1..MAX_VERTICES.
+    The reach values are drawn as `Random.randint` draws them, by
+    rejection from `getrandbits(n.bit_length())`: the same stream without
+    the call frames.  Only the order of the draws is fixed: the output is
+    a fixed function of (seed, n), and seeded theorem-5 reports depend on
+    it.  n must lie in 1..MAX_VERTICES.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     check_vertex_count(n)
     rng = random.Random(seed)
-    out = [0] * n
+    getrandbits, draw = rng.getrandbits, rng.random
+    k = n.bit_length()
+    full = (1 << n) - 1
+    out = []
+    for v in range(n):
+        reach = 0
+        if n > 1:
+            reach = getrandbits(k)
+            while reach >= n:
+                reach = getrandbits(k)
+        span = ((1 << reach) - 1) << (v + 1)  # v+1..v+reach, wrapped below
+        out.append((span | span >> n) & full)
     inn = [0] * n
-    for v in range(n):
-        reach = rng.randint(0, n - 1) if n > 1 else 0
-        for step in range(1, reach + 1):
-            w = (v + step) % n
-            out[v] |= 1 << w
-            inn[w] |= 1 << v
-    forward = list(out)
-    for v in range(n):
-        for w in bits(forward[v]):
-            if rng.random() < 0.3:
-                out[w] |= 1 << v
-                inn[v] |= 1 << w
-    v = 0
-    while v < n:
-        bad = _side_violation(inn[v], out, inn) or _side_violation(out[v], out, inn)
-        if bad is None:
-            v += 1
-            continue
-        x, y = bad
-        out[x] |= 1 << y
-        inn[x] |= 1 << y
-        out[y] |= 1 << x
-        inn[y] |= 1 << x
-        v = min(v, x, y)
+    for v, forward in enumerate(list(out)):
+        bv = 1 << v
+        while forward:
+            bw = forward & -forward
+            forward ^= bw
+            w = bw.bit_length() - 1
+            inn[w] |= bv
+            if draw() < 0.3:
+                out[w] |= bv
+                inn[v] |= bw
+    todo = full
+    while todo:
+        bx = todo & -todo
+        todo ^= bx
+        x = bx.bit_length() - 1
+        ix, ox = inn[x], out[x]
+        others = full & ~(ix | ox | bx)  # the vertices non-adjacent to x
+        join = 0
+        while others:
+            by = others & -others
+            others ^= by
+            y = by.bit_length() - 1
+            if ix & inn[y] or ox & out[y]:
+                join |= by
+        if join:
+            out[x] = ox | join
+            inn[x] = ix | join
+            todo |= bx | join
+            while join:
+                by = join & -join
+                join ^= by
+                y = by.bit_length() - 1
+                out[y] |= bx
+                inn[y] |= bx
     return from_out_masks(out)

@@ -30,6 +30,7 @@ from .digraph import (
     parse_labeled,
     random_digraph,
     serialize,
+    serialize_chunks,
     to_dot,
 )
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
@@ -248,7 +249,10 @@ def cmd_gen(args) -> int:
     else:  # random
         weights = tuple(float(x) for x in args.weights.split(","))
         d = random_digraph(args.n, weights, seed=args.seed)
-    sys.stdout.write(to_dot(d) if args.dot else serialize(d))
+    if args.dot:
+        sys.stdout.write(to_dot(d))
+    else:
+        sys.stdout.writelines(serialize_chunks(d))
     return 0
 
 

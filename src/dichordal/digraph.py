@@ -452,12 +452,20 @@ def check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
-def serialize(d: Digraph, names: Mapping[int, str] | None = None) -> str:
-    lines = [f"{d.n} {d.arc_count}"]
-    lines.extend(f"{u} {v}" for u, v in d.arcs())
+def serialize_chunks(d: Digraph, names: Mapping[int, str] | None = None) -> Iterator[str]:
+    """The text of serialize(d, names) in pieces: the header line, one
+    chunk of arc lines per vertex with out-arcs, then the name lines.
+    Writing the pieces as they come holds one vertex's lines at a time."""
+    yield f"{d.n} {d.arc_count}\n"
+    for u, mask in enumerate(d.out_masks):
+        if mask:
+            yield "".join([f"{u} {v}\n" for v in bits(mask)])
     if names:
-        lines.extend(f"# {v} {names[v]}" for v in sorted(names))
-    return "\n".join(lines) + "\n"
+        yield "".join([f"# {v} {names[v]}\n" for v in sorted(names)])
+
+
+def serialize(d: Digraph, names: Mapping[int, str] | None = None) -> str:
+    return "".join(serialize_chunks(d, names))
 
 
 def parse(text: str) -> Digraph:

@@ -271,7 +271,7 @@ def _sampled_index(n: int, seed: int, i: int) -> Digraph:
     return digraph_from_index(n, random.Random(f"{seed}:{i}").randrange(digraph_count(n)))
 
 
-def _lsc_tail(sizes: list[int], seed: int, i: int) -> Digraph:
+def _lsc_tail(sizes: range, seed: int, i: int) -> Digraph:
     return generate_locally_semicomplete(seed * 1_000_003 + i, sizes[i % len(sizes)])
 
 
@@ -369,16 +369,22 @@ def check_theorem5(
     no fig1, no lollipop).
 
     Exhaustive for sizes 1..n_exhaustive, then `samples` generated
-    instances at sizes n_exhaustive+1..n_random.
+    instances at sizes n_exhaustive+1..n_random, cycling through them.
+    Samples asked for with no size above n_exhaustive are a ValueError.
     """
     if n_exhaustive > 5:
         raise ValueError(f"theorem5 exhaustive cap is n=5, got {n_exhaustive}")
+    sizes = range(n_exhaustive + 1, n_random + 1)
+    if samples > 0 and not sizes:
+        raise ValueError(
+            "theorem5 samples need n_random > n_exhaustive,"
+            f" got n_random={n_random} and n_exhaustive={n_exhaustive}"
+        )
     families = ("fig1", "dicycle", "lollipop")
     jobs = [
         (_table_scan, ("lsc_mask", families, True, size), digraph_count(size))
         for size in range(1, n_exhaustive + 1)
     ]
-    sizes = list(range(n_exhaustive + 1, n_random + 1))
     if sizes:
         jobs.append((_object_scan, ("_lsc_tail", "_judge_theorem5_tail", (sizes, seed)), samples))
     params = {

@@ -6,19 +6,22 @@ import inspect
 import io
 import os
 import random
+import tracemalloc
 
 import pytest
 
-from dichordal import verify
-from dichordal.classes import generate_wqt
+from dichordal import cli, verify
+from dichordal.classes import generate_locally_semicomplete, generate_wqt
 from dichordal.cli import CHECKS, build_parser, main
 from dichordal.digraph import (
     MAX_VERTICES,
     Digraph,
     digraph_count,
+    from_out_masks,
     parse_labeled,
     random_digraph,
     serialize,
+    serialize_chunks,
 )
 
 
@@ -58,6 +61,29 @@ def test_n_random_default_matches_check_theorem5():
     args = build_parser().parse_args(["verify", "--check", "theorem5"])
     default = inspect.signature(verify.check_theorem5).parameters["n_random"].default
     assert args.n_random == default == 8
+
+
+@pytest.mark.parametrize("n, n_random", [(5, 3), (5, 5), (3, 3), (0, 0)])
+def test_theorem5_rejects_samples_without_a_random_size(capsys, n, n_random):
+    # the samples were dropped: a PASS with samples=10 that checked none
+    argv = ["verify", "--check", "theorem5", "--n", str(n), "--n-random", str(n_random)]
+    err = _rejected(capsys, [*argv, "--samples", "10"])
+    assert err == (
+        "error: theorem5 samples need n_random > n_exhaustive,"
+        f" got n_random={n_random} and n_exhaustive={n}\n"
+    )
+    assert main([*argv, "--samples", "0"]) == 0
+    assert "status: PASS" in capsys.readouterr().out
+
+
+def test_theorem5_huge_n_random_samples_the_smallest_size():
+    # the sizes stay a range: n_random=10**9 with one sample checks one
+    # digraph of order 4, as n_random=4 does, without a list of 10**9 sizes
+    huge = verify.check_theorem5(3, 10**9, samples=1, seed=5)
+    small = verify.check_theorem5(3, 4, samples=1, seed=5)
+    assert (huge.total, huge.filtered, huge.passed) == (small.total, small.filtered, small.passed)
+    assert huge.total == sum(digraph_count(k) for k in range(1, 4)) + 1
+    assert huge.params == {**small.params, "n_random": 10**9}
 
 
 def test_parse_rejects_oversized_vertex_count(capsys, monkeypatch):
@@ -150,3 +176,60 @@ def test_gen_rejects_non_finite_weights(capsys, weights):
     assert err == "error: kind_weights must be 4 finite nonnegative numbers\n"
     with pytest.raises(ValueError, match="finite"):
         random_digraph(4, tuple(float(w) for w in weights.split(",")))
+
+
+def _old_serialize(d, names=None):
+    lines = [f"{d.n} {d.arc_count}"]
+    lines.extend(f"{u} {v}" for u, v in d.arcs())
+    if names:
+        lines.extend(f"# {v} {names[v]}" for v in sorted(names))
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_chunks_join_to_the_old_text():
+    for n in range(0, 9):
+        for seed in range(10):
+            d = random_digraph(n, (3, 1, 1, 1), seed=seed)
+            names = {v: f"v{v}" for v in range(0, n, 2)}
+            for labels in (None, names):
+                assert "".join(serialize_chunks(d, labels)) == _old_serialize(d, labels)
+                assert serialize(d, labels) == _old_serialize(d, labels)
+
+
+@pytest.mark.parametrize(
+    "argv, make",
+    [
+        (["--class", "wqt", "--depth", "2", "--width", "6"], lambda: generate_wqt(4, 2, 6)),
+        (["--class", "locally-semicomplete", "--n", "30"],
+         lambda: generate_locally_semicomplete(4, 30)),
+        (["--class", "random", "--n", "25"], lambda: random_digraph(25, seed=4)),
+    ],
+)
+def test_gen_streams_the_serialized_text(capsys, monkeypatch, argv, make):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen joined the whole text")
+
+    monkeypatch.setattr(cli, "serialize", refuse)
+    assert main(["gen", *argv, "--seed", "4"]) == 0
+    assert capsys.readouterr().out == _old_serialize(make())
+
+
+def test_serialize_chunks_hold_one_vertex_at_a_time():
+    # transitive tournament: 44,850 arc lines, about 300 per chunk
+    n = 300
+    full = (1 << n) - 1
+    d = from_out_masks([full & ~((2 << u) - 1) for u in range(n)])
+    h = hashlib.sha256()
+    size = 0
+    tracemalloc.start()
+    try:
+        for chunk in serialize_chunks(d):
+            h.update(chunk.encode())
+            size += len(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.hexdigest() == hashlib.sha256(_old_serialize(d).encode()).hexdigest()
+    assert size > 300_000
+    # the joined text alone is `size` bytes; the list of lines was ~10x that
+    assert peak < size // 10
