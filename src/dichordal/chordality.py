@@ -29,8 +29,9 @@ stalls on the same set, in O(n + sum of degrees) tests instead of O(n^2).
 `_greedy` inlines the di-simplicial test as one flat loop over the masks:
 the candidates `alive & ~stuck` and each candidate's alive in-neighbours
 are walked lowest bit first, and STRICT runs the same loop with both
-sides set to all neighbours.  `_di_simplicial_in` stays the single-vertex
-definition, for `is_di_simplicial` and as the tests' reference.
+sides set to all neighbours.  `witness`, on the masks restricted to a
+vertex set, is the single-vertex definition: `is_di_simplicial`, the CLI's
+NO verdict and the tests' rescan reference all go through it.
 """
 
 from __future__ import annotations
@@ -63,55 +64,32 @@ class EliminationOrdering:
     variant: Variant
 
 
-def _di_simplicial_in(d: Digraph, v: int, variant: Variant, alive: int) -> bool:
-    """Di-simplicial test for v inside the subdigraph induced by `alive`."""
-    if variant is Variant.STRICT:
-        nb = (d.in_masks[v] | d.out_masks[v]) & alive
-        for u in bits(nb):
-            if (nb & ~(1 << u)) & ~d.digon_masks[u]:
-                return False
-        return True
-    outv = d.out_masks[v] & alive
-    if not outv:
-        return True
-    required = d.digon_masks if variant is Variant.SEMI_STRICT else d.out_masks
-    for u in bits(d.in_masks[v] & alive):
-        if (outv & ~(1 << u)) & ~required[u]:
-            return False
-    return True
-
-
-def is_di_simplicial(d: Digraph, v: int, variant: Variant) -> bool:
-    d._check_vertex(v)
-    return _di_simplicial_in(d, v, variant, (1 << d.n) - 1)
-
-
-def witness(d: Digraph, v: int, variant: Variant) -> Optional[Witness]:
-    """Lexicographically smallest failing (u, w), or None if v is di-simplicial.
+def witness(
+    d: Digraph, v: int, variant: Variant, within: Optional[int] = None
+) -> Optional[Witness]:
+    """Lexicographically smallest failing (u, w), or None if v is di-simplicial
+    in the subdigraph induced by the vertex mask `within` (default: all of d).
 
     For STRICT the pair ranges over all neighbours of v and is reported
     with u < w; otherwise u is an in-neighbour and w an out-neighbour.
     """
     d._check_vertex(v)
+    alive = (1 << d.n) - 1 if within is None else within
     if variant is Variant.STRICT:
-        nb = sorted(bits(d.in_masks[v] | d.out_masks[v]))
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                u, w = nb[a], nb[b]
-                if not d.digon_masks[u] >> w & 1:
-                    return Witness(u, v, w)
-        return None
-    for u in bits(d.in_masks[v]):
-        for w in bits(d.out_masks[v]):
-            if u == w:
-                continue
-            if variant is Variant.SEMI_STRICT:
-                ok = bool(d.digon_masks[u] >> w & 1)
-            else:
-                ok = d.has_arc(u, w)
-            if not ok:
-                return Witness(u, v, w)
+        ins = outs = (d.in_masks[v] | d.out_masks[v]) & alive
+        required = d.digon_masks
+    else:
+        ins, outs = d.in_masks[v] & alive, d.out_masks[v] & alive
+        required = d.digon_masks if variant is Variant.SEMI_STRICT else d.out_masks
+    for u in bits(ins):  # a failing STRICT pair w < u was found at u = w
+        bad = outs & ~(1 << u) & ~required[u]
+        if bad:
+            return Witness(u, v, (bad & -bad).bit_length() - 1)
     return None
+
+
+def is_di_simplicial(d: Digraph, v: int, variant: Variant) -> bool:
+    return witness(d, v, variant) is None
 
 
 def _greedy(d: Digraph, variant: Variant) -> tuple[list[int], int]:
@@ -122,7 +100,7 @@ def _greedy(d: Digraph, variant: Variant) -> tuple[list[int], int]:
     change that, so each deletion clears `stuck` on the neighbours only.
     The candidates are `alive & ~stuck`, lowest first.
 
-    The test is `_di_simplicial_in`, inlined: v fails when some alive
+    The test is `witness`'s, inlined: v fails when some alive
     in-neighbour u has an alive out-neighbour w != u of v that is not in
     `required[u]`.  STRICT is the same test with both sides taken as all
     neighbours and digons required.
@@ -217,16 +195,19 @@ def _plain_di_simplicial(
     return True
 
 
-def oracle_is_chordal(d: Digraph, variant: Variant, cap: int = 12) -> bool:
+ORACLE_MAX_N = 12
+
+
+def oracle_is_chordal(d: Digraph, variant: Variant) -> bool:
     """Literal definition: every nonempty induced subdigraph has a
-    di-simplicial vertex.  Exponential; capped at `cap` vertices.
+    di-simplicial vertex.  Exponential; capped at ORACLE_MAX_N vertices.
 
     Each subset is evaluated in place, as a vertex set that the neighbour
     sets of d, taken once per call, are intersected with; no induced
     subdigraph is built.
     """
-    if d.n > cap:
-        raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {cap}")
+    if d.n > ORACLE_MAX_N:
+        raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {ORACLE_MAX_N}")
     ins = [d.in_neighbors(v) for v in range(d.n)]
     outs = [d.out_neighbors(v) for v in range(d.n)]
     for mask in range(1, 1 << d.n):

@@ -22,16 +22,28 @@ from .chordality import (
     stalled_subdigraph,
     witness,
 )
-from .classes import classify, generate_locally_semicomplete, generate_wqt
+from .classes import (
+    classify,
+    generate_locally_semicomplete,
+    generate_wqt,
+    is_extended_semicomplete,
+    is_locally_semicomplete,
+    is_oriented,
+    is_quasi_transitive,
+    is_semicomplete,
+    is_symmetric,
+    is_transitive_oriented,
+    is_weakly_quasi_transitive,
+)
 from .digraph import (
     Digraph,
+    dot_chunks,
     enumerate_digraphs,
     induced,
     parse_labeled,
     random_digraph,
     serialize,
     serialize_chunks,
-    to_dot,
 )
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from .verify import CHECKS
@@ -59,9 +71,8 @@ def _variant_verdict(d: Digraph, names: dict[int, str], variant: Variant, as_jso
     ordering = elimination_ordering(d, variant)
     if ordering is None:
         stalled = stalled_subdigraph(d, variant)
-        sub = induced(d, stalled)
-        w = witness(sub, 0, variant)  # the lowest stalled vertex
-        triple = (stalled[w.u], stalled[w.v], stalled[w.w])
+        stalled_mask = sum(1 << v for v in stalled)
+        triple = witness(d, stalled[0], variant, stalled_mask)  # the lowest stalled vertex
     if as_json:
         out = {"variant": variant.value, "chordal": ordering is not None}
         if ordering is not None:
@@ -78,7 +89,7 @@ def _variant_verdict(d: Digraph, names: dict[int, str], variant: Variant, as_jso
         print("witness: (" + ", ".join(nm(x) for x in triple) + ")")
         print("stalled subdigraph on {" + ", ".join(nm(x) for x in stalled) + "}:")
         sub_names = {i: nm(x) for i, x in enumerate(stalled)}
-        for line in serialize(sub, sub_names).splitlines():
+        for line in serialize(induced(d, stalled), sub_names).splitlines():
             print("  " + line)
     return ordering is not None
 
@@ -182,7 +193,7 @@ def cmd_forbidden(args) -> int:
     lol = find_lollipop(d)
     if lol is not None:
         matches.append(("pattern", lol.name, list(lol.mapping)))
-    cyc = find_nonsym_induced_dicycle(d) if d.n >= 3 else None
+    cyc = find_nonsym_induced_dicycle(d)
     if cyc is not None:
         matches.append(("dicycle", f"dicycle{len(cyc)}", list(cyc)))
     if args.json:
@@ -249,31 +260,24 @@ def cmd_gen(args) -> int:
     else:  # random
         weights = tuple(float(x) for x in args.weights.split(","))
         d = random_digraph(args.n, weights, seed=args.seed)
-    if args.dot:
-        sys.stdout.write(to_dot(d))
-    else:
-        sys.stdout.writelines(serialize_chunks(d))
+    sys.stdout.writelines(dot_chunks(d) if args.dot else serialize_chunks(d))
     return 0
 
 
 _FILTERS = {
-    "semicomplete": "is_semicomplete",
-    "locally-semicomplete": "is_locally_semicomplete",
-    "wqt": "is_weakly_quasi_transitive",
-    "quasi-transitive": "is_quasi_transitive",
-    "extended-semicomplete": "is_extended_semicomplete",
-    "symmetric": "is_symmetric",
-    "oriented": "is_oriented",
-    "transitive-oriented": "is_transitive_oriented",
+    "semicomplete": is_semicomplete,
+    "locally-semicomplete": is_locally_semicomplete,
+    "wqt": is_weakly_quasi_transitive,
+    "quasi-transitive": is_quasi_transitive,
+    "extended-semicomplete": is_extended_semicomplete,
+    "symmetric": is_symmetric,
+    "oriented": is_oriented,
+    "transitive-oriented": is_transitive_oriented,
 }
 
 
 def cmd_enumerate(args) -> int:
-    from . import classes as class_mod
-
-    pred = None
-    if args.filter:
-        pred = getattr(class_mod, _FILTERS[args.filter])
+    pred = _FILTERS[args.filter] if args.filter else None
     first = True
     for d in enumerate_digraphs(args.n, cap=args.cap):
         if pred is not None and not pred(d):

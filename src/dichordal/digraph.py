@@ -515,23 +515,30 @@ def dot_quote(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(d: Digraph, names: Mapping[int, str] | None = None) -> str:
-    """DOT export; a digon becomes one edge with dir=both."""
+def dot_chunks(d: Digraph, names: Mapping[int, str] | None = None) -> Iterator[str]:
+    """The text of to_dot(d, names) in pieces: the header, the node lines,
+    one chunk of edge lines per column j (pairs i < j, in slot order), then
+    the closing brace.  A digon becomes one edge with dir=both."""
 
     def label(v: int) -> str:
         return dot_quote(names[v] if names and v in names else str(v))
 
-    lines = ["digraph D {"]
-    for v in range(d.n):
-        lines.append(f'  {v} [label="{label(v)}"];')
-    for j in range(1, d.n):  # pairs (i, j) in slot order
+    yield "digraph D {\n"
+    yield "".join([f'  {v} [label="{label(v)}"];\n' for v in range(d.n)])
+    for j in range(1, d.n):
         to_j, from_j = d.in_masks[j], d.out_masks[j]
+        lines = []
         for i in bits((to_j | from_j) & ((1 << j) - 1)):
             if not from_j >> i & 1:
-                lines.append(f"  {i} -> {j};")
+                lines.append(f"  {i} -> {j};\n")
             elif not to_j >> i & 1:
-                lines.append(f"  {j} -> {i};")
+                lines.append(f"  {j} -> {i};\n")
             else:
-                lines.append(f"  {i} -> {j} [dir=both];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                lines.append(f"  {i} -> {j} [dir=both];\n")
+        yield "".join(lines)
+    yield "}\n"
+
+
+def to_dot(d: Digraph, names: Mapping[int, str] | None = None) -> str:
+    """DOT export; a digon becomes one edge with dir=both."""
+    return "".join(dot_chunks(d, names))

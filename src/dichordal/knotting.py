@@ -224,15 +224,18 @@ def ss_chordal_via_knotting(d: Digraph) -> bool:
     return True
 
 
-def theorem2_oracle(d: Digraph, cap: int = 12) -> bool:
+ORACLE_MAX_N = 12
+
+
+def theorem2_oracle(d: Digraph) -> bool:
     """Subset-quantified knotting criterion for semi-strict chordality.
 
     True iff for every nonempty vertex subset, the induced subdigraph's
     knotting graph has some splitting group with all degrees <= 1.  Each
-    subset is evaluated on its vertex mask.
+    subset is evaluated on its vertex mask.  Capped at ORACLE_MAX_N vertices.
     """
-    if d.n > cap:
-        raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {cap}")
+    if d.n > ORACLE_MAX_N:
+        raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {ORACLE_MAX_N}")
     for mask in range(1, 1 << d.n):
         if not any(_qualifies(d, v, mask) for v in bits(mask)):
             return False

@@ -89,6 +89,10 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.failures == 0
 
+    @property
+    def status(self) -> str:
+        return "PASS" if self.ok else ("FAIL" if self.asserted else "INFO")
+
     def to_json_dict(self, timing: bool = False) -> dict:
         out = {
             "check": self.name,
@@ -99,7 +103,7 @@ class VerificationReport:
             "failures": self.failures,
             "counterexamples": self.counterexamples,
             "asserted": self.asserted,
-            "status": "PASS" if self.ok else ("FAIL" if self.asserted else "INFO"),
+            "status": self.status,
         }
         if timing:
             out["wall_time"] = self.wall_time
@@ -122,9 +126,7 @@ class VerificationReport:
             lines.extend("  " + ln for ln in cx["digraph"].strip().splitlines())
         if timing:
             lines.append(f"wall_time: {self.wall_time:.3f}s")
-        lines.append(
-            "status: " + ("PASS" if self.ok else ("FAIL" if self.asserted else "INFO"))
-        )
+        lines.append(f"status: {self.status}")
         return "\n".join(lines) + "\n"
 
 

@@ -16,12 +16,16 @@ from dichordal.cli import CHECKS, build_parser, main
 from dichordal.digraph import (
     MAX_VERTICES,
     Digraph,
+    bits,
     digraph_count,
+    dot_chunks,
+    dot_quote,
     from_out_masks,
     parse_labeled,
     random_digraph,
     serialize,
     serialize_chunks,
+    to_dot,
 )
 
 
@@ -231,5 +235,66 @@ def test_serialize_chunks_hold_one_vertex_at_a_time():
         tracemalloc.stop()
     assert h.hexdigest() == hashlib.sha256(_old_serialize(d).encode()).hexdigest()
     assert size > 300_000
+    # the joined text alone is `size` bytes; the list of lines was ~10x that
+    assert peak < size // 10
+
+
+def _old_to_dot(d, names=None):
+    def label(v):
+        return dot_quote(names[v] if names and v in names else str(v))
+
+    lines = ["digraph D {"]
+    for v in range(d.n):
+        lines.append(f'  {v} [label="{label(v)}"];')
+    for j in range(1, d.n):
+        to_j, from_j = d.in_masks[j], d.out_masks[j]
+        for i in bits((to_j | from_j) & ((1 << j) - 1)):
+            if not from_j >> i & 1:
+                lines.append(f"  {i} -> {j};")
+            elif not to_j >> i & 1:
+                lines.append(f"  {j} -> {i};")
+            else:
+                lines.append(f"  {i} -> {j} [dir=both];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dot_chunks_join_to_the_old_text(ex1, ex2):
+    names = {0: "a", 1: 'b "quoted"', 2: "c\\d", 3: "d"}
+    for d in (ex1, ex2):
+        for labels in (None, names):
+            assert "".join(dot_chunks(d, labels)) == _old_to_dot(d, labels)
+            assert to_dot(d, labels) == _old_to_dot(d, labels)
+    for n in range(0, 9):
+        for seed in range(10):
+            d = random_digraph(n, (3, 1, 1, 1), seed=seed)
+            labels = {v: f"v{v}" for v in range(0, n, 2)}
+            assert "".join(dot_chunks(d, labels)) == _old_to_dot(d, labels)
+            assert to_dot(d) == _old_to_dot(d)
+
+
+def test_gen_dot_text_unchanged(capsys):
+    assert main(["gen", "--class", "wqt", "--depth", "2", "--width", "6", "--seed", "4",
+                 "--dot"]) == 0
+    assert capsys.readouterr().out == _old_to_dot(generate_wqt(4, 2, 6))
+
+
+def test_dot_chunks_hold_one_column_at_a_time():
+    # transitive tournament: 44,850 edge lines, up to 299 per chunk
+    n = 300
+    full = (1 << n) - 1
+    d = from_out_masks([full & ~((2 << u) - 1) for u in range(n)])
+    h = hashlib.sha256()
+    size = 0
+    tracemalloc.start()
+    try:
+        for chunk in dot_chunks(d):
+            h.update(chunk.encode())
+            size += len(chunk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.hexdigest() == hashlib.sha256(_old_to_dot(d).encode()).hexdigest()
+    assert size > 500_000
     # the joined text alone is `size` bytes; the list of lines was ~10x that
     assert peak < size // 10

@@ -13,9 +13,9 @@ import pytest
 from dichordal import classes
 from dichordal.chordality import (
     Variant,
-    _di_simplicial_in,
     elimination_ordering,
     stalled_subdigraph,
+    witness,
 )
 from dichordal.classes import (
     _locally_semicomplete_violation,
@@ -87,7 +87,7 @@ def _reference_greedy(d, variant):
     order = []
     while alive:
         for v in bits(alive):
-            if _di_simplicial_in(d, v, variant, alive):
+            if witness(d, v, variant, alive) is None:
                 order.append(v)
                 alive &= ~(1 << v)
                 break
