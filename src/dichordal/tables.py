@@ -26,6 +26,17 @@ its rows per chunk from M_4.  A cached M_5 makes the exhaustive scans
 about 8x faster, but the benchmark's peak memory grows with the number of
 passes it runs, so that speed-up reads as a memory regression (see
 ROADMAP, direction 5).
+
+The exhaustive scans read their rows from `block_chunks`, not from every
+index.  The pairs of the last vertex are the last slots, the low 2(n-1)
+bits of an index, so the one-vertex extensions of order-(n-1) digraph p
+fill the block p*4^(n-1) .. (p+1)*4^(n-1) - 1.  A hereditary class keeps
+D - (n-1) of each member, so only the blocks of the order-(n-1) members
+are expanded (at n=5, 1,246 weakly quasi-transitive blocks: 318,976 rows
+instead of 4^10), then clipped to the range and filtered at order n.  The
+parents ascend and their blocks are disjoint and ascending, so the rows
+come out in ascending index order, exactly as filtering every index
+would give them.
 """
 
 from __future__ import annotations
@@ -57,6 +68,26 @@ def index_chunks(start: int, stop: int) -> Iterator[np.ndarray]:
     """The indices start..stop-1 as int64 arrays of at most CHUNK rows."""
     for lo in range(start, stop, CHUNK):
         yield np.arange(lo, min(lo + CHUNK, stop), dtype=np.int64)
+
+
+def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """The order-n indices in [start, stop) that keep(n, idx) keeps, in
+    ascending order, for a hereditary `keep`: read from the extension blocks
+    of the order-(n-1) indices it keeps (see the module docstring), in
+    arrays of at most CHUNK rows (for n <= 9, where a block fits in one)."""
+    if n == 0:  # no parent order: the single row
+        for idx in index_chunks(start, stop):
+            yield idx[keep(0, idx)]
+        return
+    size = 4 ** (n - 1)
+    offsets = np.arange(size, dtype=np.int64)
+    per_chunk = max(1, CHUNK // size)
+    for parents in index_chunks(start // size, -(-stop // size)):
+        parents = parents[keep(n - 1, parents)]
+        for lo in range(0, parents.size, per_chunk):
+            idx = (parents[lo : lo + per_chunk, None] * size + offsets).ravel()
+            idx = idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)]
+            yield idx[keep(n, idx)]
 
 
 def _table(n: int, rows) -> np.ndarray:

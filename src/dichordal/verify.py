@@ -19,7 +19,12 @@ counterexamples in order.  A job runs one of two workers:
 - `_table_scan` decides the exhaustive theorem-4 and theorem-5 scans by
   lookup in the hereditary tables of `tables`, over the indices that a
   class prefilter from `tables` (`wqt_mask`, `lsc_mask`) keeps; no
-  Digraph is built except to print a counterexample.
+  Digraph is built except to print a counterexample.  Its one row source
+  is `tables.block_chunks`: the prefilter runs at order n-1 over the
+  parent range, and only the extension blocks of the members it keeps are
+  expanded, clipped to [start, stop) and filtered at order n.  Ascending
+  parents give ascending rows, so the counterexamples keep their index
+  order for every shard and worker count.
 
 Sources, judges and prefilters travel in a job by name and are looked up
 in this module's globals when the worker runs.  Jobs are then plain data
@@ -59,8 +64,8 @@ from .knotting import knotting_graph, ss_chordal_via_knotting, theorem2_oracle
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from .tables import (
     any_induced,
+    block_chunks,
     containment_table,
-    index_chunks,
     lsc_mask,
     semi_strict_table,
     symmetric_index,
@@ -235,9 +240,9 @@ def _object_scan(source: str, judge: str, args: tuple, start: int, stop: int) ->
 def _table_scan(
     prefilter: str, families: tuple[str, ...], with_n: bool, n: int, start: int, stop: int
 ) -> tuple:
-    """Lookup-table scan of indices [start, stop) kept by `prefilter`:
-    semi-strict chordal against (symmetric part semi-strict chordal and no
-    induced member of any of `families`).
+    """Lookup-table scan of indices [start, stop) kept by `prefilter`, read
+    from its extension blocks: semi-strict chordal against (symmetric part
+    semi-strict chordal and no induced member of any of `families`).
 
     Mismatches are recorded in index order; each record starts with the
     order n when `with_n` is set.
@@ -247,8 +252,7 @@ def _table_scan(
     obstructed = [containment_table(f, n) for f in families]
     filtered = passed = 0
     cx = []
-    for idx in index_chunks(start, stop):
-        idx = idx[keep(n, idx)]
+    for idx in block_chunks(keep, n, start, stop):
         lhs = chordal[idx]
         rhs = chordal[symmetric_index(idx)]
         for table in obstructed:
@@ -370,12 +374,12 @@ def check_theorem5(
     (symmetric part semi-strict chordal, no non-symmetric induced dicycle,
     no fig1, no lollipop).
 
-    Exhaustive for sizes 1..n_exhaustive, then `samples` generated
+    Exhaustive for sizes 1..n_exhaustive (0..5), then `samples` generated
     instances at sizes n_exhaustive+1..n_random, cycling through them.
     Samples asked for with no size above n_exhaustive are a ValueError.
     """
-    if n_exhaustive > 5:
-        raise ValueError(f"theorem5 exhaustive cap is n=5, got {n_exhaustive}")
+    if not 0 <= n_exhaustive <= 5:
+        raise ValueError(f"theorem5 exhaustive orders are 0..5, got n_exhaustive={n_exhaustive}")
     sizes = range(n_exhaustive + 1, n_random + 1)
     if samples > 0 and not sizes:
         raise ValueError(
@@ -451,8 +455,11 @@ def probe_knotting_deletion(
     the knotting graph reproduces the recomputed knotting graph of D - v.
 
     Counterexamples here are findings, not failures; the report is
-    informational.
+    informational.  The sampled digraphs have 2..n vertices, so n < 2 is
+    a ValueError.
     """
+    if n < 2:
+        raise ValueError(f"knotting-deletion probe needs n >= 2, got n={n}")
     job = (_object_scan, ("_probe_digraph", "_judge_deletion", (n, seed)), samples)
     params = {"n": n, "samples": samples, "seed": seed}
     return _check("knotting-deletion-probe", params, [job], shards, workers, asserted=False)

@@ -147,6 +147,32 @@ def test_negative_vertex_counts_exit_2(capsys, argv):
         digraph_count(-1)
 
 
+@pytest.mark.parametrize("check", ["theorem4", "theorem5", "nesting", "recognizers"])
+def test_verify_negative_orders_exit_2(capsys, check):
+    # theorem5 used to print a PASS over 0 instances for --n -1
+    err = _rejected(capsys, ["verify", "--check", check, "--n", "-1"])
+    assert err.startswith("error: ")
+    if check == "theorem5":
+        assert err == "error: theorem5 exhaustive orders are 0..5, got n_exhaustive=-1\n"
+        with pytest.raises(ValueError, match="n_exhaustive=-1"):
+            verify.check_theorem5(n_exhaustive=-1)
+        assert main(["verify", "--check", "theorem5", "--n", "0"]) == 0
+        assert "instances: total=0 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_deletion_probe_rejects_orders_below_two(capsys, n):
+    # its digraphs have 2..n vertices: n=-1 probed order-2 digraphs and
+    # reported n=-1
+    argv = ["verify", "--check", "knotting-deletion", "--n", str(n), "--samples", "3"]
+    err = _rejected(capsys, argv)
+    assert err == f"error: knotting-deletion probe needs n >= 2, got n={n}\n"
+    with pytest.raises(ValueError, match="n >= 2"):
+        verify.probe_knotting_deletion(n, 3)
+    assert main([*argv[:3], "--n", "2", "--samples", "3"]) == 0
+    assert "params: n=2 samples=3 seed=0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("klass", ["random", "locally-semicomplete"])
 def test_gen_rejects_more_vertices_than_the_parser(capsys, klass):
     n = MAX_VERTICES + 1

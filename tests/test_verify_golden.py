@@ -29,6 +29,9 @@ GOLDEN = [
      "00f9fda2ecdcec342ca45657a6c5150c907df84dfa0616f0daba427c39ffc299"),
     ("theorem4", {"n": 4}, True,
      "a984bba9bb137be5371bbdf9a2d49dc8ef9ebb755807e9a3016ade5c548332dc"),
+    # captured before the scans read extension blocks; counterexamples at n=5
+    ("theorem4", {"n": 5}, True,
+     "61f1940c42f88c47fe22ea90f204762c004840f6ff847347c92364ad48c9f759"),
     ("theorem5", {"n_exhaustive": 4, "n_random": 6, "samples": 60, "seed": 3}, False,
      "48c1f288e030a4a239d70e230ec912634391f91785c4bb957aef58368ccb69ba"),
     ("theorem5", {"n_exhaustive": 5, "n_random": 5, "samples": 0}, False,
@@ -37,6 +40,9 @@ GOLDEN = [
      "a9711c64e55c0635d2c8bef89145449defe6f1e9dc0b89cb5ce74126913aed70"),
     ("theorem5", {"n_exhaustive": 0, "n_random": 6, "samples": 60, "seed": 3}, True,
      "f4aefee882d78c1ceb2350cd4c5928304afa86d059829f6b60c2961ef055911a"),
+    # captured before the scans read extension blocks
+    ("theorem5", {"n_exhaustive": 5, "n_random": 5, "samples": 0}, True,
+     "47053659b7a3990b987f5ccb9e06e99e1c7952a46dd4c7985436cf803dae2e53"),
     ("nesting", {"n": 3}, False,
      "1186f95b366ffa79d23fd6d99246e19cf6fd788ec8a5c21e6c4f6fcaa7068774"),
     ("knotting-deletion", {"n": 5, "samples": 40, "seed": 2}, False,
