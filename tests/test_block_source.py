@@ -35,7 +35,7 @@ def _rows(keep, n: int, start: int, stop: int) -> np.ndarray:
         return keep(k, idx)
 
     chunks = list(block_chunks(bounded, n, start, stop))
-    assert all(c.dtype == np.int64 and c.size <= CHUNK for c in chunks)
+    assert all(c.dtype == np.int64 for c in chunks)
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 
