@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .digraph import Digraph, bits, induced, symmetric_subdigraph
@@ -172,49 +173,91 @@ def verify_ordering(d: Digraph, ordering: EliminationOrdering) -> bool:
 
 
 # -- brute-force oracle --------------------------------------------------------
+#
+# `oracle_is_chordal` is the literal definition (every nonempty induced
+# subdigraph has a di-simplicial vertex), evaluated over the whole subset
+# lattice at once.  A subset S of the vertices is a bit position in a
+# 2^n-bit integer; `_member_sets(n)[x]` has bit S set exactly when x is in S.
+#
+# Whether v is di-simplicial in D[S] depends only on which of its failing
+# pairs in D lie inside S: a pair (u, w) around v is the same pair in D[S]
+# whenever u, v, w are in S, and D[S] inherits from D the adjacency between
+# u and w that the variant requires.  So v is di-simplicial in exactly the
+# subsets `has[v] & ~OR(has[u] & has[w])` over its failing pairs (u, w), and
+# D is chordal exactly when the union of these sets over all v is every
+# nonempty subset.  The pairs are spelled out over plain neighbour sets by
+# `_failing_pairs`, which shares no code with `_greedy` or `witness`.
+
+
+def _failing_pairs(
+    ins: list[frozenset[int]], outs: list[frozenset[int]], v: int, variant: Variant
+) -> list[tuple[int, int]]:
+    """Every pair (u, w) around v missing the adjacency the variant requires,
+    spelled out over the neighbour sets ins[x], outs[x], no bitmask shortcuts.
+
+    For STRICT both ends range over all neighbours of v, each pair once with
+    u < w, and a digon is required; otherwise u is an in-neighbour and w != u
+    an out-neighbour, and the arc u->w (CHORDAL) or a digon (SEMI_STRICT) is
+    required.
+    """
+    if variant is Variant.STRICT:
+        nb = ins[v] | outs[v]
+        return [(u, w) for u in nb for w in nb if u < w and not (w in outs[u] and u in outs[w])]
+    semi = variant is Variant.SEMI_STRICT
+    return [
+        (u, w)
+        for u in ins[v]
+        for w in outs[v]
+        if u != w and (w not in outs[u] or (semi and u not in outs[w]))
+    ]
 
 
 def _plain_di_simplicial(
     ins: list[frozenset[int]], outs: list[frozenset[int]], v: int, variant: Variant,
     within: frozenset[int],
 ) -> bool:
-    # definition spelled out over the neighbour sets ins[x], outs[x] inside
-    # the vertex set `within`, no bitmask shortcuts
-    if variant is Variant.STRICT:
-        nb = (ins[v] | outs[v]) & within
-        return all(w in outs[u] and u in outs[w] for u in nb for w in nb if u != w)
-    out_v = outs[v] & within
-    for u in ins[v] & within:
-        for w in out_v:
-            if u == w:
-                continue
-            if w not in outs[u]:
-                return False
-            if variant is Variant.SEMI_STRICT and u not in outs[w]:
-                return False
-    return True
+    """Is v di-simplicial in the subdigraph induced by the vertex set `within`?"""
+    return not any(u in within and w in within for u, w in _failing_pairs(ins, outs, v, variant))
 
 
 ORACLE_MAX_N = 12
+
+
+@lru_cache(maxsize=None)
+def _member_sets(n: int) -> tuple[int, ...]:
+    """For each vertex x < n, the 2^n-bit int whose bit S is set when x is in S.
+
+    Bit S holds bit x of S: runs of 2^x zeros then 2^x ones, repeated with
+    period 2^(x+1), i.e. one period's pattern times the int with a one at
+    every multiple of the period.
+    """
+    full = (1 << (1 << n)) - 1
+    return tuple(
+        (((1 << (1 << x)) - 1) << (1 << x)) * (full // ((1 << (2 << x)) - 1)) for x in range(n)
+    )
 
 
 def oracle_is_chordal(d: Digraph, variant: Variant) -> bool:
     """Literal definition: every nonempty induced subdigraph has a
     di-simplicial vertex.  Exponential; capped at ORACLE_MAX_N vertices.
 
-    Each subset is evaluated in place, as a vertex set that the neighbour
-    sets of d, taken once per call, are intersected with; no induced
-    subdigraph is built.
+    All 2^n subsets are decided together as bits of one integer (see the
+    section comment): v is di-simplicial in D[S] exactly when S contains v
+    and no failing pair (u, w) of v in D lies inside S, because D[S] keeps
+    the adjacency between u and w.  No induced subdigraph is built.
     """
     if d.n > ORACLE_MAX_N:
         raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {ORACLE_MAX_N}")
+    has = _member_sets(d.n)
     ins = [d.in_neighbors(v) for v in range(d.n)]
     outs = [d.out_neighbors(v) for v in range(d.n)]
-    for mask in range(1, 1 << d.n):
-        sub = frozenset(bits(mask))
-        if not any(_plain_di_simplicial(ins, outs, v, variant, sub) for v in sub):
-            return False
-    return True
+    covered = 0
+    for v in range(d.n):
+        bad = 0
+        for u, w in _failing_pairs(ins, outs, v, variant):
+            bad |= has[u] & has[w]
+        covered |= has[v] & ~bad
+    return covered == (1 << (1 << d.n)) - 2  # every subset but the empty one
 
 
 # -- undirected chordality of the symmetric part --------------------------------

@@ -215,12 +215,15 @@ def ss_chordal_via_knotting(d: Digraph) -> bool:
     """
     alive = (1 << d.n) - 1
     while alive:
-        for v in bits(alive):
-            if _qualifies(d, v, alive):
-                alive &= ~(1 << v)
+        rest = alive
+        while rest:
+            low = rest & -rest
+            if _qualifies(d, low.bit_length() - 1, alive):
                 break
-        else:
+            rest ^= low
+        if not rest:
             return False
+        alive ^= low
     return True
 
 
@@ -232,12 +235,21 @@ def theorem2_oracle(d: Digraph) -> bool:
 
     True iff for every nonempty vertex subset, the induced subdigraph's
     knotting graph has some splitting group with all degrees <= 1.  Each
-    subset is evaluated on its vertex mask.  Capped at ORACLE_MAX_N vertices.
+    subset is decided on its own vertex mask: its vertices are walked
+    lowest bit first and each is tested by `_qualifies`, i.e. on its
+    splitting classes from `_class_masks` restricted to the mask, until one
+    qualifies.  Capped at ORACLE_MAX_N vertices.
     """
     if d.n > ORACLE_MAX_N:
         raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {ORACLE_MAX_N}")
     for mask in range(1, 1 << d.n):
-        if not any(_qualifies(d, v, mask) for v in bits(mask)):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if _qualifies(d, low.bit_length() - 1, mask):
+                break
+            rest ^= low
+        if not rest:
             return False
     return True
 

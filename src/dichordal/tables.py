@@ -70,6 +70,11 @@ def index_chunks(start: int, stop: int) -> Iterator[np.ndarray]:
         yield np.arange(lo, min(lo + CHUNK, stop), dtype=np.int64)
 
 
+def block_size(n: int) -> int:
+    """Rows in one extension block of order n: 4^(n-1), or the one row at n=0."""
+    return 4 ** (n - 1) if n else 1
+
+
 def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
     """The order-n indices in [start, stop) that keep(n, idx) keeps, in
     ascending order, for a hereditary `keep`: read from the extension blocks
@@ -79,7 +84,7 @@ def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
         for idx in index_chunks(start, stop):
             yield idx[keep(0, idx)]
         return
-    size = 4 ** (n - 1)
+    size = block_size(n)
     offsets = np.arange(size, dtype=np.int64)
     per_chunk = max(1, CHUNK // size)
     for parents in index_chunks(start // size, -(-stop // size)):

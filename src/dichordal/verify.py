@@ -7,9 +7,11 @@ contiguous ranges that merge associatively: reports are byte-identical for
 any shard or worker count.  Wall time is kept out of the canonical
 text/JSON output for the same reason.
 
-One function, `_check`, splits each job into shards, runs them serially
-or in a process pool and merges the parts, keeping the first ten
-counterexamples in order.  A job runs one of two workers:
+One function, `_check`, splits each job into at most `shards` non-empty
+ranges, runs them serially or in a process pool and merges the parts,
+keeping the first ten counterexamples in order.  The table scans split
+only between extension blocks, so a shard count above the number of
+instances (or blocks) costs nothing extra.  A job runs one of two workers:
 
 - `_object_scan` builds each digraph from an *instance source* (an index,
   a seeded index sample, the locally semicomplete generator tail, the
@@ -45,7 +47,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,6 +67,7 @@ from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from .tables import (
     any_induced,
     block_chunks,
+    block_size,
     containment_table,
     lsc_mask,
     semi_strict_table,
@@ -135,17 +138,34 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _split_range(total: int, shards: int) -> list[tuple[int, int]]:
+def _split_range(total: int, shards: int, unit: int = 1) -> list[tuple[int, int]]:
+    """Split [0, total) into at most `shards` non-empty contiguous ranges, as
+    even as whole `unit`s allow: every boundary but the end is a multiple of
+    `unit`.  So there are at most ceil(total / unit) ranges, whatever the
+    shard count."""
     if shards < 1:
         raise ValueError("shard count must be positive")
-    base, extra = divmod(total, shards)
+    units = -(-total // unit)
+    pieces = min(shards, units)
+    base, extra = divmod(units, pieces) if pieces else (0, 0)
     ranges = []
     start = 0
-    for s in range(shards):
-        size = base + (1 if s < extra else 0)
-        ranges.append((start, start + size))
-        start += size
+    for s in range(pieces):
+        stop = min(total, start + (base + (1 if s < extra else 0)) * unit)
+        ranges.append((start, stop))
+        start = stop
     return ranges
+
+
+class Job(NamedTuple):
+    """`worker(*args, start, stop)` over the instances [0, count), sharded in
+    whole `unit`s: the table scans split only between extension blocks, so no
+    two shards expand the same block (see `tables.block_size`)."""
+
+    worker: Callable[..., tuple]
+    args: tuple
+    count: int
+    unit: int = 1
 
 
 def _pool_size(workers: int, shards: int) -> int:
@@ -161,19 +181,19 @@ def _check_samples(samples: int) -> None:
 
 
 def _check(
-    name: str, params: dict, jobs: list, shards: int, workers: int, asserted: bool = True
+    name: str, params: dict, jobs: list[Job], shards: int, workers: int, asserted: bool = True
 ) -> VerificationReport:
-    """Run each (worker, args, count) job over `shards` contiguous ranges of
-    its `count` instances; `worker(*args, start, stop)` returns (total,
+    """Run each job over at most `shards` non-empty contiguous ranges of its
+    instances (`_split_range`); `worker(*args, start, stop)` returns (total,
     filtered, passed, counterexamples), merged in job and range order."""
     _check_samples(params.get("samples", 0))
     started = time.perf_counter()
     parts = [
-        (worker, (*args, a, b))
-        for worker, args, count in jobs
-        for a, b in _split_range(count, shards)
+        (job.worker, (*job.args, a, b))
+        for job in jobs
+        for a, b in _split_range(job.count, shards, job.unit)
     ]
-    pool_size = _pool_size(workers, shards)
+    pool_size = _pool_size(workers, len(parts))
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [pool.submit(worker, *args) for worker, args in parts]
@@ -270,6 +290,11 @@ def _table_scan(
     return (stop - start, filtered, passed, cx)
 
 
+def _table_job(prefilter: str, families: tuple[str, ...], with_n: bool, n: int) -> Job:
+    """A `_table_scan` over all order-n indices, sharded by extension block."""
+    return Job(_table_scan, (prefilter, families, with_n, n), digraph_count(n), block_size(n))
+
+
 # -- instance sources (the index source is digraph_from_index itself) --------------
 
 
@@ -342,12 +367,13 @@ def check_recognizer_equivalence(
         _check_samples(samples)
     params = {"n": n, "seed": seed}
     if n <= 4:
-        job = (_object_scan, ("digraph_from_index", "_judge_recognizers", (n,)), digraph_count(n))
+        args = ("digraph_from_index", "_judge_recognizers", (n,))
+        job = Job(_object_scan, args, digraph_count(n))
     elif n == 5:
         if samples is None:
             raise ValueError("n=5 exceeds the exhaustive cap; pass a sample count")
         params["samples"] = samples
-        job = (_object_scan, ("_sampled_index", "_judge_recognizers", (n, seed)), samples)
+        job = Job(_object_scan, ("_sampled_index", "_judge_recognizers", (n, seed)), samples)
     else:
         raise ValueError(f"recognizer equivalence capped at n=5, got n={n}")
     return _check("recognizer-equivalence", params, [job], shards, workers)
@@ -358,7 +384,7 @@ def check_theorem4(n: int, shards: int = 1, workers: int = 1) -> VerificationRep
     semi-strict chordal == (symmetric part semi-strict chordal and no fig1)."""
     if n > 5:
         raise ValueError(f"theorem4 exhaustive check capped at n=5, got n={n}")
-    job = (_table_scan, ("wqt_mask", ("fig1",), False, n), digraph_count(n))
+    job = _table_job("wqt_mask", ("fig1",), False, n)
     return _check("theorem4", {"n": n}, [job], shards, workers)
 
 
@@ -388,11 +414,11 @@ def check_theorem5(
         )
     families = ("fig1", "dicycle", "lollipop")
     jobs = [
-        (_table_scan, ("lsc_mask", families, True, size), digraph_count(size))
-        for size in range(1, n_exhaustive + 1)
+        _table_job("lsc_mask", families, True, size) for size in range(1, n_exhaustive + 1)
     ]
     if sizes:
-        jobs.append((_object_scan, ("_lsc_tail", "_judge_theorem5_tail", (sizes, seed)), samples))
+        tail = ("_lsc_tail", "_judge_theorem5_tail", (sizes, seed))
+        jobs.append(Job(_object_scan, tail, samples))
     params = {
         "n_exhaustive": n_exhaustive,
         "n_random": n_random,
@@ -407,7 +433,7 @@ def check_nesting(n: int, shards: int = 1, workers: int = 1) -> VerificationRepo
     symmetric digraphs, semi-strict chordality == underlying-graph chordality."""
     if n > 4:
         raise ValueError(f"nesting check capped at n=4, got n={n}")
-    job = (_object_scan, ("digraph_from_index", "_judge_nesting", (n,)), digraph_count(n))
+    job = Job(_object_scan, ("digraph_from_index", "_judge_nesting", (n,)), digraph_count(n))
     return _check("nesting", {"n": n}, [job], shards, workers)
 
 
@@ -460,7 +486,7 @@ def probe_knotting_deletion(
     """
     if n < 2:
         raise ValueError(f"knotting-deletion probe needs n >= 2, got n={n}")
-    job = (_object_scan, ("_probe_digraph", "_judge_deletion", (n, seed)), samples)
+    job = Job(_object_scan, ("_probe_digraph", "_judge_deletion", (n, seed)), samples)
     params = {"n": n, "samples": samples, "seed": seed}
     return _check("knotting-deletion-probe", params, [job], shards, workers, asserted=False)
 

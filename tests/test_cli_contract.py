@@ -61,6 +61,45 @@ def test_pool_size_clamps_without_starting_processes(monkeypatch):
         verify._pool_size(0, 8)
 
 
+@pytest.mark.parametrize(
+    "total, unit", [(0, 1), (1, 1), (7, 1), (64, 1), (64, 16), (70, 16), (4**10, 4**4)]
+)
+def test_split_range_gives_nonempty_whole_unit_ranges(total, unit):
+    for shards in (1, 2, 3, 7, 200_000, 10**8):
+        ranges = verify._split_range(total, shards, unit)
+        assert len(ranges) == min(shards, -(-total // unit))
+        assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
+        assert all(a < b and a % unit == 0 for a, b in ranges)
+        assert (ranges[0][0], ranges[-1][1]) == (0, total) if ranges else (total == 0)
+        sizes = [b - a for a, b in ranges[:-1]]
+        assert not sizes or max(sizes) - min(sizes) <= unit
+
+
+def test_huge_shard_count_runs_one_part_per_block(monkeypatch):
+    assert len(verify._split_range(5, 200_000)) == 5  # before asking for 10**8
+    single = verify.check_theorem5(5, 6, samples=2, shards=1).to_json()
+    parts = []
+    scan = verify._table_scan
+
+    def counting(*args):
+        parts.append(args[3])
+        return scan(*args)
+
+    monkeypatch.setattr(verify, "_table_scan", counting)
+    assert verify.check_theorem5(5, 6, samples=2, shards=10**8).to_json() == single
+    # one part per extension block: 4^(n-1) rows each, one row at order 1
+    assert [parts.count(n) for n in range(1, 6)] == [1, 1, 4, 64, 4096]
+
+
+def test_verify_output_is_the_same_for_a_huge_shard_count(capsys):
+    runs = []
+    for shards in ("1", "200000"):
+        code = main(["verify", "--check", "theorem4", "--n", "3", "--shards", shards])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
 def test_n_random_default_matches_check_theorem5():
     args = build_parser().parse_args(["verify", "--check", "theorem5"])
     default = inspect.signature(verify.check_theorem5).parameters["n_random"].default

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from dichordal.chordality import Variant, oracle_is_chordal
+from dichordal.chordality import ORACLE_MAX_N, Variant, _member_sets, is_chordal, oracle_is_chordal
+from dichordal.classes import generate_locally_semicomplete
 from dichordal.cli import main
 from dichordal.digraph import (
     bits,
@@ -279,3 +280,66 @@ def test_knot_output_is_pinned(tmp_path, name, flag):
         code = main(["knot", str(path), *([flag] if flag else [])])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == KNOT_DIGESTS[(name, flag)]
+
+
+# -- subset oracles above n=5 --------------------------------------------------------
+# The subset oracle decides all 2^n subsets as bits of one integer, so the
+# bit sets and the comparison against "every nonempty subset" grow with n.
+
+WEIGHTS = [(1, 1, 1, 1), (6, 1, 1, 2), (3, 1, 0, 1), (2, 0, 0, 1), (4, 1, 1, 0)]
+
+
+def seeded(n, per_weight):
+    """Random digraphs of order n under five weightings, then generated lsc ones."""
+    for weights in WEIGHTS:
+        for seed in range(per_weight):
+            yield random_digraph(n, weights, seed=100 * n + seed)
+    for seed in range(per_weight):
+        yield generate_locally_semicomplete(seed, n)
+
+
+def test_member_sets_match_brute_force_up_to_n12():
+    for n in range(ORACLE_MAX_N + 1):
+        has = _member_sets(n)
+        assert len(has) == n
+        for x in range(n):
+            assert has[x] == sum(1 << s for s in range(1 << n) if s >> x & 1), (n, x)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_subset_oracle_matches_reference_n6_to_n8(n, variant):
+    outcomes = set()
+    for d in seeded(n, 8):
+        got = oracle_is_chordal(d, variant)
+        assert got == ref_oracle_is_chordal(d, variant), d
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_knotting_oracle_matches_reference_n6_n7(n):
+    outcomes = set()
+    for d in seeded(n, 4):
+        got = theorem2_oracle(d)
+        assert got == ref_theorem2_oracle(d), d
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "d",
+    [_transitive_tournament(12), build(12, [(i, (i + 1) % 12) for i in range(12)])],
+    ids=["transitive-tournament", "dicycle"],
+)
+def test_oracles_match_greedy_at_n12(d):
+    for variant in ALL_VARIANTS:
+        assert oracle_is_chordal(d, variant) == is_chordal(d, variant), variant
+    assert theorem2_oracle(d) == is_chordal(d, Variant.SEMI_STRICT)
+
+
+def test_oracles_accept_orders_zero_and_one():
+    for n in (0, 1):
+        d = build(n, [])
+        assert all(oracle_is_chordal(d, variant) for variant in ALL_VARIANTS)
+        assert theorem2_oracle(d)
