@@ -21,11 +21,9 @@ find_induced; the test suite cross-checks each table against its
 object-path detector.  The classes (weakly quasi-transitive, locally
 semicomplete) are decided on three vertices, as every violation is a
 triple: M_k for k <= 3 comes from the object predicates, and every 3-set
-of a larger digraph misses some v.  M_5 is not cached; scans evaluate
-its rows per chunk from M_4.  A cached M_5 makes the exhaustive scans
-about 8x faster, but the benchmark's peak memory grows with the number of
-passes it runs, so that speed-up reads as a memory regression (see
-ROADMAP, direction 5).
+of a larger digraph misses some v.  M_5 is not cached: `wqt_mask` and
+`lsc_mask` evaluate its rows per chunk from M_4.  They are the per-index
+route that the tests check the block rule below against.
 
 The exhaustive scans read their rows from `block_chunks`, not from every
 index.  The pairs of the last vertex are the last slots, the low 2(n-1)
@@ -33,9 +31,23 @@ bits of an index, so the one-vertex extensions of order-(n-1) digraph p
 fill the block p*4^(n-1) .. (p+1)*4^(n-1) - 1.  A hereditary class keeps
 D - (n-1) of each member, so only the blocks of the order-(n-1) members
 are expanded (at n=5, 1,246 weakly quasi-transitive blocks: 318,976 rows
-instead of 4^10), then clipped to the range and filtered at order n.  The
-parents ascend and their blocks are disjoint and ascending, so the rows
-come out in ascending index order, exactly as filtering every index
+instead of 4^10).  For n >= 4 a whole block is decided from the
+order-(n-1) table M by the class recurrence above.  Row o of p's block is
+the digraph P+o, and for v < n-1
+
+  index of (P+o) - v  =  deleted_index(n-1, v, p) << 2(n-2) | R_v[o],
+
+where R_v[o] = deleted_index(n, v, o) drops v's digit from the last
+vertex's digits.  So with
+E_v = M.reshape(-1, 4^(n-2))[:, R_v] the block is
+AND_{v<n-1} E_v[deleted_index(n-1, v, p)]: one contiguous row gather per
+deleted vertex (at n=5, four 64x256 tables).  v = n-1 is skipped, as that
+deletion is the parent itself.  M is built through the prefilter and
+cached with the E_v per (prefilter, order), four entries at most: about
+70 KB at n=5 and 22 MB at n=6.  Blocks at n <= 3 (at most 16 rows) go
+to the prefilter itself.  The blocks are then clipped to the range.
+The parents ascend and their blocks are disjoint and ascending, so the
+rows come out in ascending index order, exactly as filtering every index
 would give them.
 """
 
@@ -77,9 +89,11 @@ def block_size(n: int) -> int:
 
 def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
     """The order-n indices in [start, stop) that keep(n, idx) keeps, in
-    ascending order, for a hereditary `keep`: read from the extension blocks
-    of the order-(n-1) indices it keeps (see the module docstring), in
-    arrays of at most CHUNK rows (for n <= 9, where a block fits in one)."""
+    ascending order, for a `keep` decided on triples: read from the
+    extension blocks of the order-(n-1) indices it keeps, and for n >= 4
+    decided by the block rule (see the module docstring).  For n up to
+    TABLE_MAX_N + 1, as the rule reads the whole order-(n-1) table; every
+    array yielded or handed to `keep` has at most CHUNK rows."""
     if n == 0:  # no parent order: the single row
         for idx in index_chunks(start, stop):
             yield idx[keep(0, idx)]
@@ -87,12 +101,38 @@ def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
     size = block_size(n)
     offsets = np.arange(size, dtype=np.int64)
     per_chunk = max(1, CHUNK // size)
+    if n >= 4:
+        members, extensions = _block_rule(keep, n)
     for parents in index_chunks(start // size, -(-stop // size)):
-        parents = parents[keep(n - 1, parents)]
+        parents = parents[members[parents] if n >= 4 else keep(n - 1, parents)]
         for lo in range(0, parents.size, per_chunk):
-            idx = (parents[lo : lo + per_chunk, None] * size + offsets).ravel()
-            idx = idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)]
-            yield idx[keep(n, idx)]
+            block = parents[lo : lo + per_chunk]
+            idx = (block[:, None] * size + offsets).ravel()
+            if n >= 4:  # the block rule: one row gather per deleted vertex
+                ok = extensions[0][deleted_index(n - 1, 0, block)]
+                for v in range(1, n - 1):
+                    ok &= extensions[v][deleted_index(n - 1, v, block)]
+                ok = ok.ravel()
+            else:  # blocks of at most 16 rows
+                ok = keep(n, idx)
+            a, b = np.searchsorted(idx, start), np.searchsorted(idx, stop)
+            yield idx[a:b][ok[a:b]]
+
+
+@lru_cache(maxsize=4)
+def _block_rule(keep, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-(n-1) table M of `keep`, built through keep(n-1, .), and
+    E[v] = M.reshape(-1, 4^(n-2))[:, R_v] for each v < n-1, where R_v drops
+    v's digit from the last vertex's digits: row deleted_index(n-1, v, p)
+    of E[v] decides D - v for every row D of parent p's block."""
+    members = _table(n - 1, keep)
+    offsets = np.arange(block_size(n), dtype=np.int64)
+    rows = members.reshape(-1, block_size(n - 1))
+    # C order: a row of E[v] is one block, gathered as one contiguous run
+    extensions = np.stack([rows[:, deleted_index(n, v, offsets)] for v in range(n - 1)])
+    extensions = np.ascontiguousarray(extensions)
+    extensions.flags.writeable = False
+    return members, extensions
 
 
 def _table(n: int, rows) -> np.ndarray:

@@ -22,17 +22,20 @@ instances (or blocks) costs nothing extra.  A job runs one of two workers:
   lookup in the hereditary tables of `tables`, over the indices that a
   class prefilter from `tables` (`wqt_mask`, `lsc_mask`) keeps; no
   Digraph is built except to print a counterexample.  Its one row source
-  is `tables.block_chunks`: the prefilter runs at order n-1 over the
-  parent range, and only the extension blocks of the members it keeps are
-  expanded, clipped to [start, stop) and filtered at order n.  Ascending
-  parents give ascending rows, so the counterexamples keep their index
-  order for every shard and worker count.
+  is `tables.block_chunks`: only the extension blocks of the order-(n-1)
+  members are expanded and clipped to [start, stop).  For n >= 4 the
+  prefilter gives the whole order-(n-1) table once per process, and each
+  block is decided from it by one row gather per deleted vertex; below
+  that it filters the parents and blocks itself.  Ascending parents give
+  ascending rows, so the counterexamples keep their index order for every
+  shard and worker count.
 
 Sources, judges and prefilters travel in a job by name and are looked up
 in this module's globals when the worker runs.  Jobs are then plain data
 that pickle for the pool, and whatever a name is bound to at run time is
 what runs: the benchmark's tracer rebinds `digraph_from_index`,
-`is_chordal`, `wqt_mask` and other names here to count their calls.
+`is_chordal`, `wqt_mask` and other names here to count their calls.  A
+rebound prefilter gets its own order-(n-1) table, built through it.
 
 The object path (is_chordal and the find_* detectors) is the route
 independent of the tables; the test suite cross-checks every table and

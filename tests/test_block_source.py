@@ -1,8 +1,9 @@
 """The extension-block row source of the exhaustive theorem scans.
 
 `tables.block_chunks` expands only the blocks of order-(n-1) digraphs that
-the prefilter keeps; it must give exactly the rows that filtering every
-index gives, in the same (ascending) order, for any range a shard can get.
+the prefilter keeps, and for n >= 4 decides them from the order-(n-1)
+table; it must give exactly the rows that filtering every index gives, in
+the same (ascending) order, for any range a shard can get.
 """
 
 import numpy as np
@@ -10,7 +11,14 @@ import pytest
 
 from dichordal import verify
 from dichordal.digraph import digraph_count
-from dichordal.tables import CHUNK, block_chunks, index_chunks, lsc_mask, wqt_mask
+from dichordal.tables import (
+    CHUNK,
+    block_chunks,
+    deleted_index,
+    index_chunks,
+    lsc_mask,
+    wqt_mask,
+)
 from dichordal.verify import _split_range
 
 
@@ -29,12 +37,28 @@ def _expected(keep, n: int, start: int, stop: int) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def _rows(keep, n: int, start: int, stop: int) -> np.ndarray:
-    def bounded(k, idx):  # the expanded blocks, before the order-n filter
+def _bounded(keep):
+    """`keep`, asserting that no array handed to it exceeds CHUNK rows."""
+
+    def bounded(k, idx):
         assert idx.size <= CHUNK
         return keep(k, idx)
 
-    chunks = list(block_chunks(bounded, n, start, stop))
+    return bounded
+
+
+def _counting(keep, rows: dict):
+    """`keep`, adding the rows handed to it at each order to `rows`."""
+
+    def counting(n, idx):
+        rows[n] = rows.get(n, 0) + idx.size
+        return keep(n, idx)
+
+    return counting
+
+
+def _rows(keep, n: int, start: int, stop: int) -> np.ndarray:
+    chunks = list(block_chunks(_bounded(keep), n, start, stop))
     assert all(c.dtype == np.int64 for c in chunks)
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
@@ -71,14 +95,47 @@ def test_theorem4_order_zero_keeps_its_single_row():
 def test_scan_reads_the_prefilter_through_verify(monkeypatch):
     # the tracer and the golden tests rebind verify's names
     rows = {}
-
-    def counting(n, idx):
-        rows[n] = rows.get(n, 0) + idx.size
-        return wqt_mask(n, idx)
-
-    monkeypatch.setattr(verify, "wqt_mask", counting)
+    monkeypatch.setattr(verify, "wqt_mask", _counting(wqt_mask, rows))
     report = verify.check_theorem4(5, shards=3)
     assert (report.total, report.filtered, report.failures) == (4**10, 82_012, 0)
-    # only the blocks of the 1,246 order-4 members reach the order-5 rows
-    assert sorted(rows) == [4, 5]
-    assert rows[5] == 1_246 * 4**4
+    # the order-5 rows are decided from the order-4 table, read once
+    assert rows == {4: 4**6}
+
+    # a rebinding that drops one order-4 member drops every order-5 row
+    # with a deletion equal to it
+    order4 = np.arange(4**6, dtype=np.int64)
+    member = order4[wqt_mask(4, order4)][600]
+
+    def dropping(n, idx):
+        ok = wqt_mask(n, idx)
+        return ok & (idx != member) if n == 4 else ok
+
+    monkeypatch.setattr(verify, "wqt_mask", dropping)
+    expected = _expected(wqt_mask, 5, 0, 4**10)
+    for v in range(5):
+        expected = expected[deleted_index(5, v, expected) != member]
+    assert 0 < expected.size < 82_012
+    assert np.array_equal(_rows(verify.wqt_mask, 5, 0, 4**10), expected)
+    report = verify.check_theorem4(5, shards=3)
+    assert (report.total, report.filtered, report.failures) == (4**10, expected.size, 0)
+
+
+def test_theorem5_reads_the_order4_table_once_for_all_parts(monkeypatch):
+    # shards=10**8 splits the order-5 scan into one part per block: 4,096
+    # parts share one read of the order-4 table
+    rows = {}
+    monkeypatch.setattr(verify, "lsc_mask", _counting(lsc_mask, rows))
+    report = verify.check_theorem5(5, 6, samples=2, shards=10**8)
+    assert rows[4] == 4**6 and 5 not in rows
+    monkeypatch.undo()
+    assert report.to_json() == verify.check_theorem5(5, 6, samples=2, shards=1).to_json()
+
+
+@pytest.mark.parametrize(
+    "keep, count", [(wqt_mask, 16_349_848), (lsc_mask, 15_182_881)], ids=["wqt", "lsc"]
+)
+def test_full_order6_block_counts(keep, count):
+    # the full order-6 row counts, summed without holding the rows
+    sizes = [c.size for c in block_chunks(_bounded(keep), 6, 0, digraph_count(6))]
+    assert max(sizes) <= CHUNK
+    assert sum(sizes) == count
