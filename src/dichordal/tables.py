@@ -38,10 +38,9 @@ the digraph P+o, and for v < n-1
   index of (P+o) - v  =  deleted_index(n-1, v, p) << 2(n-2) | R_v[o],
 
 where R_v[o] = deleted_index(n, v, o) drops v's digit from the last
-vertex's digits.  So with
-E_v = M.reshape(-1, 4^(n-2))[:, R_v] the block is
-AND_{v<n-1} E_v[deleted_index(n-1, v, p)]: one contiguous row gather per
-deleted vertex (at n=5, four 64x256 tables).  v = n-1 is skipped, as that
+vertex's digits.  So with E_v = M.reshape(-1, 4^(n-2))[:, R_v] the block
+is AND_{v<n-1} E_v[deleted_index(n-1, v, p)]: one contiguous row gather
+per deleted vertex (at n=5, four 64x256 tables).  v = n-1 is skipped, as that
 deletion is the parent itself.  M is built through the prefilter and
 cached with the E_v per (prefilter, order), four entries at most: about
 70 KB at n=5 and 22 MB at n=6.  Blocks at n <= 3 (at most 16 rows) go
