@@ -26,12 +26,16 @@ neighbours of each deleted vertex, and tests the rest in ascending order.
 It deletes exactly the vertex a full rescan from vertex 0 would, and
 stalls on the same set, in O(n + sum of degrees) tests instead of O(n^2).
 
-`_greedy` inlines the di-simplicial test as one flat loop over the masks:
-the candidates `alive & ~stuck` and each candidate's alive in-neighbours
-are walked lowest bit first, and STRICT runs the same loop with both
-sides set to all neighbours.  `witness`, on the masks restricted to a
-vertex set, is the single-vertex definition: `is_di_simplicial`, the CLI's
-NO verdict and the tests' rescan reference all go through it.
+`_greedy` inlines the di-simplicial test as one flat loop over three mask
+lists (ins, outs, required), not over a Digraph: the candidates
+`alive & ~stuck` and each candidate's alive in-neighbours are walked
+lowest bit first.  `_variant_masks` picks the lists for a variant; STRICT
+runs the same loop with both sides set to all neighbours.  A caller that
+holds other masks runs the loop on them directly: the theorem-5 tail
+decides a symmetric part on (digon, digon, digon) without building it.
+`witness`, on the masks restricted to a vertex set, is the single-vertex
+definition: `is_di_simplicial`, the CLI's NO verdict and the tests'
+rescan reference all go through it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .digraph import Digraph, bits, induced, symmetric_subdigraph
+from .digraph import Digraph, bits, induced
+from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
 
 
 class Variant(str, Enum):
@@ -93,8 +98,25 @@ def is_di_simplicial(d: Digraph, v: int, variant: Variant) -> bool:
     return witness(d, v, variant) is None
 
 
-def _greedy(d: Digraph, variant: Variant) -> tuple[list[int], int]:
-    """Greedy elimination: (deletion order, stalled set as a mask, 0 if none).
+def _variant_masks(d: Digraph, variant: Variant) -> tuple[Sequence[int], ...]:
+    """The (ins, outs, required) mask lists `_greedy` runs on for a variant.
+
+    STRICT takes both sides as all neighbours and requires digons;
+    otherwise the sides are the in- and out-masks and the required
+    adjacency is a digon (SEMI_STRICT) or the arc u->w (CHORDAL).
+    """
+    if variant is Variant.STRICT:
+        nbr = [i | o for i, o in zip(d.in_masks, d.out_masks)]
+        return nbr, nbr, d.digon_masks
+    required = d.digon_masks if variant is Variant.SEMI_STRICT else d.out_masks
+    return d.in_masks, d.out_masks, required
+
+
+def _greedy(
+    ins: Sequence[int], outs: Sequence[int], required: Sequence[int]
+) -> tuple[list[int], int]:
+    """Greedy elimination on mask lists: (deletion order, stalled set as a
+    mask, 0 if none).
 
     `stuck` holds alive vertices already found not di-simplicial in the
     current alive set; only a deletion among a vertex's neighbours can
@@ -103,16 +125,9 @@ def _greedy(d: Digraph, variant: Variant) -> tuple[list[int], int]:
 
     The test is `witness`'s, inlined: v fails when some alive
     in-neighbour u has an alive out-neighbour w != u of v that is not in
-    `required[u]`.  STRICT is the same test with both sides taken as all
-    neighbours and digons required.
+    `required[u]`.
     """
-    if variant is Variant.STRICT:
-        nbr = [i | o for i, o in zip(d.in_masks, d.out_masks)]
-        ins, outs, required = nbr, nbr, d.digon_masks
-    else:
-        ins, outs = d.in_masks, d.out_masks
-        required = d.digon_masks if variant is Variant.SEMI_STRICT else outs
-    alive = cand = (1 << d.n) - 1
+    alive = cand = (1 << len(ins)) - 1
     stuck = 0
     order = []
     while cand:
@@ -142,7 +157,7 @@ def elimination_ordering(d: Digraph, variant: Variant) -> Optional[EliminationOr
     Repeatedly removes the lowest-indexed vertex that is di-simplicial in
     the remaining induced subdigraph.
     """
-    order, stalled = _greedy(d, variant)
+    order, stalled = _greedy(*_variant_masks(d, variant))
     return None if stalled else EliminationOrdering(tuple(order), variant)
 
 
@@ -152,7 +167,7 @@ def is_chordal(d: Digraph, variant: Variant) -> bool:
 
 def stalled_subdigraph(d: Digraph, variant: Variant) -> Optional[tuple[int, ...]]:
     """Vertices left when the greedy elimination gets stuck (None if it never does)."""
-    _, stalled = _greedy(d, variant)
+    _, stalled = _greedy(*_variant_masks(d, variant))
     return tuple(bits(stalled)) if stalled else None
 
 
@@ -268,7 +283,7 @@ def underlying_SD_is_chordal(d: Digraph) -> bool:
 
     Repeated simplicial-vertex deletion; quadratic-ish but instances are tiny.
     """
-    adj = list(symmetric_subdigraph(d).digon_masks)
+    adj = d.digon_masks
     alive = (1 << d.n) - 1
     while alive:
         for v in bits(alive):

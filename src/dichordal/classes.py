@@ -22,6 +22,7 @@ from typing import Optional
 from .digraph import (
     MAX_VERTICES,
     Digraph,
+    _from_masks,
     bits,
     check_vertex_count,
     from_out_masks,
@@ -293,6 +294,12 @@ def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
     the call frames.  Only the order of the draws is fixed: the output is
     a fixed function of (seed, n), and seeded theorem-5 reports depend on
     it.  n must lie in 1..MAX_VERTICES.
+
+    The digraph is built once, from the generator's own masks: `inn` is
+    kept as the exact transpose of `out` through the digon draws and every
+    repair, and no out-mask has its own bit (a reach is at most n - 1 and
+    a repair never joins x to itself), so both go straight to `_from_masks`
+    without the validation and transpose of `from_out_masks`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -345,4 +352,4 @@ def generate_locally_semicomplete(seed: int, n: int) -> Digraph:
                 y = by.bit_length() - 1
                 out[y] |= bx
                 inn[y] |= bx
-    return from_out_masks(out)
+    return _from_masks(tuple(out), tuple(inn))

@@ -17,12 +17,14 @@ A Digraph is made from whatever its producer already holds:
 - pair codes in slot order, each in 0..3: `Digraph(n, codes)`
   (enumeration, generators that draw one code per pair); they are kept;
 - out-neighbourhood masks: `from_out_masks(out)` (generators that grow
-  masks, `substitute`);
+  out-masks only, `substitute`);
 - arcs from outside, such as a parsed file, a literal or a caller of the
   public API: `build(n, arcs)`.
 
-Those two, `induced` and `symmetric_subdigraph` write masks straight into
-the one private mask constructor, `_from_masks`, without any codes.
+Those two, `induced`, `symmetric_subdigraph` and the locally semicomplete
+generator (`classes.generate_locally_semicomplete`, which grows the in-
+and out-masks together) write masks straight into the one private mask
+constructor, `_from_masks`, without any codes.
 """
 
 from __future__ import annotations

@@ -54,7 +54,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .chordality import Variant, is_chordal, oracle_is_chordal, underlying_SD_is_chordal
+from .chordality import (
+    Variant,
+    _greedy,
+    is_chordal,
+    oracle_is_chordal,
+    underlying_SD_is_chordal,
+)
 from .classes import generate_locally_semicomplete, is_symmetric
 from .digraph import (
     Digraph,
@@ -63,8 +69,8 @@ from .digraph import (
     induced,
     random_digraph,
     serialize,
-    symmetric_subdigraph,
 )
+from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
 from .knotting import knotting_graph, ss_chordal_via_knotting, theorem2_oracle
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from .tables import (
@@ -229,8 +235,20 @@ def contains_fig1(d: Digraph) -> bool:
 
 
 def _theorem5_rhs_fast(d: Digraph) -> bool:
+    """`patterns.theorem5_rhs(d)`, for the theorem-5 tail: the one deliberate
+    twin of a public predicate, kept because the tail is most of a
+    theorem-5 run.
+
+    The symmetric part is decided by the greedy loop on the digon masks:
+    they are the in-, out- and digon masks of `symmetric_subdigraph(d)`,
+    so this is `is_chordal(symmetric_subdigraph(d), SEMI_STRICT)` without
+    building it.  fig1 is looked up in the tables (`contains_fig1`).
+    `patterns.theorem5_rhs` stays the independent object-path route; the
+    tests compare the two.
+    """
+    sym = d.digon_masks
     return (
-        is_chordal(symmetric_subdigraph(d), Variant.SEMI_STRICT)
+        not _greedy(sym, sym, sym)[1]
         and find_nonsym_induced_dicycle(d, 3) is None
         and not contains_fig1(d)
         and find_lollipop(d) is None

@@ -189,6 +189,10 @@ def test_underlying_sd_chordal_cases(ex2):
     assert not underlying_SD_is_chordal(four_cycle_digons)
     assert underlying_SD_is_chordal(ex2)
     assert underlying_SD_is_chordal(build(3, [(0, 1), (1, 2), (2, 0)]))
+    # only the digons count: the arcs outside them never change the answer
+    for d in enumerate_digraphs(4):
+        s = symmetric_subdigraph(d)
+        assert underlying_SD_is_chordal(d) == is_chordal(s, Variant.SEMI_STRICT)
 
 
 def _symmetric_digraphs(n):

@@ -21,7 +21,14 @@ from dichordal.classes import (
     _locally_semicomplete_violation,
     generate_locally_semicomplete,
 )
-from dichordal.digraph import bits, build, enumerate_digraphs, random_digraph, serialize
+from dichordal.digraph import (
+    bits,
+    build,
+    enumerate_digraphs,
+    from_out_masks,
+    random_digraph,
+    serialize,
+)
 
 ALL_VARIANTS = (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
 
@@ -44,18 +51,38 @@ def test_generator_output_is_pinned():
 
 
 def test_generator_builds_once(monkeypatch):
-    calls = []
-    real = classes.from_out_masks
+    # one build per sample, from the generator's own masks: one call to the
+    # mask constructor and none to from_out_masks
+    masks, outs = [], []
+    real_masks, real_out = classes._from_masks, classes.from_out_masks
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting_masks(*args, **kwargs):
+        masks.append(1)
+        return real_masks(*args, **kwargs)
 
-    monkeypatch.setattr(classes, "from_out_masks", counting)
+    def counting_out(*args, **kwargs):
+        outs.append(1)
+        return real_out(*args, **kwargs)
+
+    monkeypatch.setattr(classes, "_from_masks", counting_masks)
+    monkeypatch.setattr(classes, "from_out_masks", counting_out)
     for seed in range(200):
-        calls.clear()
+        masks.clear()
         generate_locally_semicomplete(seed, 6 + seed % 3)
-        assert len(calls) == 1
+        assert len(masks) == 1
+    assert outs == []
+
+
+def test_generator_masks_match_from_out_masks():
+    # the generator hands its in-masks to the mask constructor unchecked:
+    # they must be the transpose from_out_masks derives, with no loop bit
+    cases = [(n, s) for n in range(1, 21) for s in range(300)]
+    cases += [(n, s) for n in (64, 200) for s in range(4)]
+    for n, s in cases:
+        d = generate_locally_semicomplete(s, n)
+        e = from_out_masks(d.out_masks)
+        assert (d.in_masks, d.digon_masks, d.codes) == (e.in_masks, e.digon_masks, e.codes)
+        assert not any(m >> v & 1 for v, m in enumerate(d.out_masks))
 
 
 def _reference_violation(d):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dichordal.chordality import Variant, is_chordal
+from dichordal.chordality import Variant, _greedy, is_chordal
 from dichordal.classes import is_locally_semicomplete, is_weakly_quasi_transitive
 from dichordal.digraph import (
     digraph_from_index,
@@ -11,10 +11,12 @@ from dichordal.digraph import (
     parse,
     random_digraph,
     serialize,
+    symmetric_subdigraph,
 )
 from dichordal.patterns import find_any_fig1, theorem5_rhs
 from dichordal.verify import (
     _deletion_derived_mismatch,
+    _lsc_tail,
     _theorem5_rhs_fast,
     check_nesting,
     check_recognizer_equivalence,
@@ -52,6 +54,18 @@ def test_fast_rhs_paths_match_public_ops():
         d = random_digraph(5 + seed % 3, (2, 1, 1, 2), seed=seed)
         assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
     for d in enumerate_digraphs(3):
+        assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
+    # the theorem-5 tail's own inputs
+    for seed in (0, 1, 2):
+        for i in range(1000):
+            d = _lsc_tail(range(6, 9), seed, i)
+            assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
+    # the digon-mask greedy is the semi-strict test of the symmetric part
+    for d in enumerate_digraphs(4):
+        sym = d.digon_masks
+        assert (not _greedy(sym, sym, sym)[1]) == is_chordal(
+            symmetric_subdigraph(d), Variant.SEMI_STRICT
+        )
         assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
 
 
