@@ -33,9 +33,9 @@ lowest bit first.  `_variant_masks` picks the lists for a variant; STRICT
 runs the same loop with both sides set to all neighbours.  A caller that
 holds other masks runs the loop on them directly: the theorem-5 tail
 decides a symmetric part on (digon, digon, digon) without building it.
-`witness`, on the masks restricted to a vertex set, is the single-vertex
-definition: `is_di_simplicial`, the CLI's NO verdict and the tests'
-rescan reference all go through it.
+`witness`, on the same lists restricted to a vertex set, is the
+single-vertex definition: `is_di_simplicial`, the CLI's NO verdict and
+the tests' rescan reference all go through it.
 """
 
 from __future__ import annotations
@@ -76,17 +76,15 @@ def witness(
     """Lexicographically smallest failing (u, w), or None if v is di-simplicial
     in the subdigraph induced by the vertex mask `within` (default: all of d).
 
-    For STRICT the pair ranges over all neighbours of v and is reported
-    with u < w; otherwise u is an in-neighbour and w an out-neighbour.
+    The sides and the required adjacency come from `_variant_masks`, the
+    sides restricted to `within`.  For STRICT the pair ranges over all
+    neighbours of v and is reported with u < w; otherwise u is an
+    in-neighbour and w an out-neighbour.
     """
     d._check_vertex(v)
     alive = (1 << d.n) - 1 if within is None else within
-    if variant is Variant.STRICT:
-        ins = outs = (d.in_masks[v] | d.out_masks[v]) & alive
-        required = d.digon_masks
-    else:
-        ins, outs = d.in_masks[v] & alive, d.out_masks[v] & alive
-        required = d.digon_masks if variant is Variant.SEMI_STRICT else d.out_masks
+    ins, outs, required = _variant_masks(d, variant)
+    ins, outs = ins[v] & alive, outs[v] & alive
     for u in bits(ins):  # a failing STRICT pair w < u was found at u = w
         bad = outs & ~(1 << u) & ~required[u]
         if bad:
@@ -99,7 +97,8 @@ def is_di_simplicial(d: Digraph, v: int, variant: Variant) -> bool:
 
 
 def _variant_masks(d: Digraph, variant: Variant) -> tuple[Sequence[int], ...]:
-    """The (ins, outs, required) mask lists `_greedy` runs on for a variant.
+    """The (ins, outs, required) mask lists of a variant: `_greedy` runs on
+    them, and `witness` reads them restricted to a vertex set.
 
     STRICT takes both sides as all neighbours and requires digons;
     otherwise the sides are the in- and out-masks and the required
@@ -225,14 +224,6 @@ def _failing_pairs(
         for w in outs[v]
         if u != w and (w not in outs[u] or (semi and u not in outs[w]))
     ]
-
-
-def _plain_di_simplicial(
-    ins: list[frozenset[int]], outs: list[frozenset[int]], v: int, variant: Variant,
-    within: frozenset[int],
-) -> bool:
-    """Is v di-simplicial in the subdigraph induced by the vertex set `within`?"""
-    return not any(u in within and w in within for u, w in _failing_pairs(ins, outs, v, variant))
 
 
 ORACLE_MAX_N = 12

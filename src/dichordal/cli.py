@@ -15,13 +15,9 @@ import traceback
 from pathlib import Path
 
 from . import knotting
-from .chordality import (
-    Variant,
-    elimination_ordering,
-    is_chordal,
-    stalled_subdigraph,
-    witness,
-)
+from .chordality import Variant, _greedy, _variant_masks, elimination_ordering, witness
+from .chordality import is_chordal  # noqa: F401  -- perfbench's tracer binds this name
+from .chordality import stalled_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
 from .classes import (
     classify,
     generate_locally_semicomplete,
@@ -37,6 +33,7 @@ from .classes import (
 )
 from .digraph import (
     Digraph,
+    bits,
     dot_chunks,
     enumerate_digraphs,
     induced,
@@ -46,7 +43,7 @@ from .digraph import (
     serialize_chunks,
 )
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
-from .verify import CHECKS
+from .verify import CHECKS, _check_samples
 
 _VARIANTS = {v.value: v for v in Variant}
 
@@ -68,22 +65,22 @@ def _namer(names: dict[int, str]):
 
 def _variant_verdict(d: Digraph, names: dict[int, str], variant: Variant, as_json: bool):
     nm = _namer(names)
-    ordering = elimination_ordering(d, variant)
-    if ordering is None:
-        stalled = stalled_subdigraph(d, variant)
-        stalled_mask = sum(1 << v for v in stalled)
+    order, stalled_mask = _greedy(*_variant_masks(d, variant))
+    chordal = not stalled_mask
+    if not chordal:
+        stalled = tuple(bits(stalled_mask))
         triple = witness(d, stalled[0], variant, stalled_mask)  # the lowest stalled vertex
     if as_json:
-        out = {"variant": variant.value, "chordal": ordering is not None}
-        if ordering is not None:
-            out["ordering"] = list(ordering.order)
+        out = {"variant": variant.value, "chordal": chordal}
+        if chordal:
+            out["ordering"] = order
         else:
             out["witness"] = list(triple)
             out["stalled"] = list(stalled)
         print(json.dumps(out))
-    elif ordering is not None:
+    elif chordal:
         print(f"{variant.value}: YES")
-        print("ordering: " + " ".join(nm(v) for v in ordering.order))
+        print("ordering: " + " ".join(nm(v) for v in order))
     else:
         print(f"{variant.value}: NO")
         print("witness: (" + ", ".join(nm(x) for x in triple) + ")")
@@ -91,7 +88,7 @@ def _variant_verdict(d: Digraph, names: dict[int, str], variant: Variant, as_jso
         sub_names = {i: nm(x) for i, x in enumerate(stalled)}
         for line in serialize(induced(d, stalled), sub_names).splitlines():
             print("  " + line)
-    return ordering is not None
+    return chordal
 
 
 def cmd_recognize(args) -> int:
@@ -224,6 +221,8 @@ def cmd_verify(args) -> int:
         return 2
     if args.shards < 1 or args.workers < 1:
         raise ValueError("--shards and --workers must be at least 1")
+    if args.samples is not None:
+        _check_samples(args.samples)
     kwargs = {"shards": args.shards, "workers": args.workers}
     if args.check == "recognizers":
         kwargs.update(n=args.n, samples=args.samples, seed=args.seed)

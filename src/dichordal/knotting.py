@@ -42,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .digraph import Digraph, PairKind, bits, dot_quote
+from .chordality import ORACLE_MAX_N
+from .digraph import Digraph, bits, dot_quote
 from .digraph import induced  # noqa: F401  -- perfbench's tracer binds this name
 
 Arc = tuple[int, int]
@@ -87,19 +88,6 @@ class KnottingGraph:
             out[e.a] += 1
             out[e.b] += 1
         return out
-
-
-def _compatible(d: Digraph, v: int, e: Arc, f: Arc) -> bool:
-    """Direct compatibility of arcs e and f at v (the defining relation)."""
-    e_out = e[0] == v
-    f_out = f[0] == v
-    if e_out == f_out:
-        return False
-    fe = e[1] if e_out else e[0]
-    ff = f[1] if f_out else f[0]
-    if fe == ff:
-        return False
-    return d.pair_kind(fe, ff) is not PairKind.DIGON
 
 
 def _class_masks(d: Digraph, v: int, alive: int) -> Iterator[tuple[int, int]]:
@@ -225,9 +213,6 @@ def ss_chordal_via_knotting(d: Digraph) -> bool:
             return False
         alive ^= low
     return True
-
-
-ORACLE_MAX_N = 12
 
 
 def theorem2_oracle(d: Digraph) -> bool:

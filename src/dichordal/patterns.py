@@ -62,7 +62,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .chordality import Variant, is_chordal
 from .digraph import Digraph, PairKind, bits, pair_slots, symmetric_subdigraph

@@ -21,19 +21,22 @@ find_induced; the test suite cross-checks each table against its
 object-path detector.  The classes (weakly quasi-transitive, locally
 semicomplete) are decided on three vertices, as every violation is a
 triple: M_k for k <= 3 comes from the object predicates, and every 3-set
-of a larger digraph misses some v.  M_5 is not cached: `wqt_mask` and
-`lsc_mask` evaluate its rows per chunk from M_4.  They are the per-index
-route that the tests check the block rule below against.
+of a larger digraph misses some v.  M is cached up to order TABLE_MAX_N,
+as T and C are; `wqt_mask` and `lsc_mask` evaluate the rows above it per
+chunk.  They are the per-index route that the tests check the block rule
+below against.
 
-The exhaustive scans read their rows from `block_chunks`, not from every
-index.  The pairs of the last vertex are the last slots, the low 2(n-1)
-bits of an index, so the one-vertex extensions of order-(n-1) digraph p
-fill the block p*4^(n-1) .. (p+1)*4^(n-1) - 1.  A hereditary class keeps
-D - (n-1) of each member, so only the blocks of the order-(n-1) members
-are expanded (at n=5, 1,246 weakly quasi-transitive blocks: 318,976 rows
-instead of 4^10).  For n >= 4 a whole block is decided from the
-order-(n-1) table M by the class recurrence above.  Row o of p's block is
-the digraph P+o, and for v < n-1
+The exhaustive scans read their rows from `block_chunks`.  Orders below
+4 have at most 64 indices, and `block_chunks` filters each of them
+through the prefilter.  From order 4 it reads only extension blocks.  The pairs of the
+last vertex are the last slots, the low 2(n-1) bits of an index, so the
+one-vertex extensions of order-(n-1) digraph p fill the block
+p*4^(n-1) .. (p+1)*4^(n-1) - 1.  A hereditary class keeps D - (n-1) of
+each member, so only the blocks of the order-(n-1) members are expanded
+(at n=5, 1,246 weakly quasi-transitive blocks: 318,976 rows instead of
+4^10), and a whole block is decided from the order-(n-1) table M by the
+class recurrence above.  Row o of p's block is the digraph P+o, and for
+v < n-1
 
   index of (P+o) - v  =  deleted_index(n-1, v, p) << 2(n-2) | R_v[o],
 
@@ -43,8 +46,7 @@ is AND_{v<n-1} E_v[deleted_index(n-1, v, p)]: one contiguous row gather
 per deleted vertex (at n=5, four 64x256 tables).  v = n-1 is skipped, as that
 deletion is the parent itself.  M is built through the prefilter and
 cached with the E_v per (prefilter, order), four entries at most: about
-70 KB at n=5 and 22 MB at n=6.  Blocks at n <= 3 (at most 16 rows) go
-to the prefilter itself.  The blocks are then clipped to the range.
+70 KB at n=5 and 22 MB at n=6.  The blocks are then clipped to the range.
 The parents ascend and their blocks are disjoint and ascending, so the
 rows come out in ascending index order, exactly as filtering every index
 would give them.
@@ -72,7 +74,6 @@ from .patterns import expand_template, fig1_templates, lollipop_template
 
 CHUNK = 1 << 16
 TABLE_MAX_N = 5  # order 6 has 4^15 rows
-CLASS_TABLE_MAX_N = 4
 
 
 def index_chunks(start: int, stop: int) -> Iterator[np.ndarray]:
@@ -88,32 +89,30 @@ def block_size(n: int) -> int:
 
 def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
     """The order-n indices in [start, stop) that keep(n, idx) keeps, in
-    ascending order, for a `keep` decided on triples: read from the
-    extension blocks of the order-(n-1) indices it keeps, and for n >= 4
+    ascending order, for a `keep` decided on triples.  Below order 4 each
+    index is filtered through keep(n, idx); from order 4 the rows are read
+    from the extension blocks of the order-(n-1) indices it keeps and
     decided by the block rule (see the module docstring).  For n up to
     TABLE_MAX_N + 1, as the rule reads the whole order-(n-1) table; every
     array yielded or handed to `keep` has at most CHUNK rows."""
-    if n == 0:  # no parent order: the single row
+    if n < 4:  # the block rule starts at order 4; below it are at most 64 indices
         for idx in index_chunks(start, stop):
-            yield idx[keep(0, idx)]
+            yield idx[keep(n, idx)]
         return
     size = block_size(n)
     offsets = np.arange(size, dtype=np.int64)
-    per_chunk = max(1, CHUNK // size)
-    if n >= 4:
-        members, extensions = _block_rule(keep, n)
+    per_chunk = CHUNK // size
+    members, extensions = _block_rule(keep, n)
     for parents in index_chunks(start // size, -(-stop // size)):
-        parents = parents[members[parents] if n >= 4 else keep(n - 1, parents)]
+        parents = parents[members[parents]]
         for lo in range(0, parents.size, per_chunk):
             block = parents[lo : lo + per_chunk]
             idx = (block[:, None] * size + offsets).ravel()
-            if n >= 4:  # the block rule: one row gather per deleted vertex
-                ok = extensions[0][deleted_index(n - 1, 0, block)]
-                for v in range(1, n - 1):
-                    ok &= extensions[v][deleted_index(n - 1, v, block)]
-                ok = ok.ravel()
-            else:  # blocks of at most 16 rows
-                ok = keep(n, idx)
+            # the block rule: one row gather per deleted vertex
+            ok = extensions[0][deleted_index(n - 1, 0, block)]
+            for v in range(1, n - 1):
+                ok &= extensions[v][deleted_index(n - 1, v, block)]
+            ok = ok.ravel()
             a, b = np.searchsorted(idx, start), np.searchsorted(idx, stop)
             yield idx[a:b][ok[a:b]]
 
@@ -310,8 +309,8 @@ def _class_table(member, n: int) -> np.ndarray:
 
 def _class_mask(member, n: int, idx: np.ndarray) -> np.ndarray:
     """member(digraph_from_index(n, i)) for each i in idx, from a cached
-    table up to order CLASS_TABLE_MAX_N and evaluated above it."""
-    if n > CLASS_TABLE_MAX_N:
+    table up to order TABLE_MAX_N and evaluated above it."""
+    if n > TABLE_MAX_N:
         return _class_rows(member, n, idx)
     return _class_table(member, n)[idx]
 

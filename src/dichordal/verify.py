@@ -22,13 +22,13 @@ instances (or blocks) costs nothing extra.  A job runs one of two workers:
   lookup in the hereditary tables of `tables`, over the indices that a
   class prefilter from `tables` (`wqt_mask`, `lsc_mask`) keeps; no
   Digraph is built except to print a counterexample.  Its one row source
-  is `tables.block_chunks`: only the extension blocks of the order-(n-1)
-  members are expanded and clipped to [start, stop).  For n >= 4 the
+  is `tables.block_chunks`.  Below order 4 it filters each index through
+  the prefilter.  From order 4 only the extension blocks of the
+  order-(n-1) members are expanded and clipped to [start, stop): the
   prefilter gives the whole order-(n-1) table once per process, and each
-  block is decided from it by one row gather per deleted vertex; below
-  that it filters the parents and blocks itself.  Ascending parents give
-  ascending rows, so the counterexamples keep their index order for every
-  shard and worker count.
+  block is decided from it by one row gather per deleted vertex.
+  Ascending parents give ascending rows, so the counterexamples keep their
+  index order for every shard and worker count.
 
 Sources, judges and prefilters travel in a job by name and are looked up
 in this module's globals when the worker runs.  Jobs are then plain data
@@ -74,6 +74,7 @@ from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer b
 from .knotting import knotting_graph, ss_chordal_via_knotting, theorem2_oracle
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from .tables import (
+    TABLE_MAX_N,
     any_induced,
     block_chunks,
     block_size,
@@ -403,8 +404,8 @@ def check_recognizer_equivalence(
 def check_theorem4(n: int, shards: int = 1, workers: int = 1) -> VerificationReport:
     """Over all weakly quasi-transitive digraphs on n vertices:
     semi-strict chordal == (symmetric part semi-strict chordal and no fig1)."""
-    if n > 5:
-        raise ValueError(f"theorem4 exhaustive check capped at n=5, got n={n}")
+    if n > TABLE_MAX_N:
+        raise ValueError(f"theorem4 exhaustive check capped at n={TABLE_MAX_N}, got n={n}")
     job = _table_job("wqt_mask", ("fig1",), False, n)
     return _check("theorem4", {"n": n}, [job], shards, workers)
 
@@ -421,12 +422,15 @@ def check_theorem5(
     (symmetric part semi-strict chordal, no non-symmetric induced dicycle,
     no fig1, no lollipop).
 
-    Exhaustive for sizes 1..n_exhaustive (0..5), then `samples` generated
-    instances at sizes n_exhaustive+1..n_random, cycling through them.
+    Exhaustive for sizes 1..n_exhaustive (0..TABLE_MAX_N), then `samples`
+    generated instances at sizes n_exhaustive+1..n_random, cycling through
+    them.
     Samples asked for with no size above n_exhaustive are a ValueError.
     """
-    if not 0 <= n_exhaustive <= 5:
-        raise ValueError(f"theorem5 exhaustive orders are 0..5, got n_exhaustive={n_exhaustive}")
+    if not 0 <= n_exhaustive <= TABLE_MAX_N:
+        raise ValueError(
+            f"theorem5 exhaustive orders are 0..{TABLE_MAX_N}, got n_exhaustive={n_exhaustive}"
+        )
     sizes = range(n_exhaustive + 1, n_random + 1)
     if samples > 0 and not sizes:
         raise ValueError(

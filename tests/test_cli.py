@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from dichordal import chordality, cli
 from dichordal.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -37,6 +38,25 @@ def test_recognize_all_variants(capsys):
     assert "chordal: YES" in out
     assert "semi-strict: NO" in out
     assert "strict: NO" in out
+
+
+def test_recognize_runs_the_greedy_loop_once_per_variant(capsys, monkeypatch):
+    # one run gives the ordering on YES and the stalled set on NO; every
+    # binding of the loop is counted, wherever the CLI reaches it from
+    greedy = chordality._greedy
+    runs = []
+
+    def counting(*masks):
+        runs.append(len(masks[0]))
+        return greedy(*masks)
+
+    monkeypatch.setattr(chordality, "_greedy", counting)
+    monkeypatch.setattr(cli, "_greedy", counting, raising=False)
+    code, out, _ = run(capsys, "recognize", EX1, "--variant", "all")
+    assert code == 1
+    verdicts = [line for line in out.splitlines() if line.endswith((": YES", ": NO"))]
+    assert verdicts == ["chordal: YES", "semi-strict: NO", "strict: NO"]
+    assert runs == [4, 4, 4]
 
 
 def test_recognize_empty_digraph(capsys, tmp_path):

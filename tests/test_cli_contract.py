@@ -149,6 +149,8 @@ def test_parse_rejects_oversized_vertex_count(capsys, monkeypatch):
         ["--check", "theorem5", "--n", "3", "--n-random", "5", "--samples", "-7"],
         ["--check", "knotting-deletion", "--samples", "-3"],
         ["--check", "recognizers", "--n", "3", "--samples", "-4"],
+        ["--check", "theorem4", "--n", "3", "--samples", "-4"],
+        ["--check", "nesting", "--n", "3", "--samples", "-4"],
     ],
 )
 def test_verify_rejects_negative_samples(capsys, argv):

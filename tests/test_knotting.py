@@ -1,7 +1,7 @@
 import pytest
 
 from dichordal.chordality import Variant, is_di_simplicial, oracle_is_chordal
-from dichordal.digraph import build, enumerate_digraphs, random_digraph
+from dichordal.digraph import PairKind, build, enumerate_digraphs, random_digraph
 from dichordal.knotting import (
     group_max_degree,
     knot_classes,
@@ -11,6 +11,19 @@ from dichordal.knotting import (
     theorem2_oracle,
     to_dot,
 )
+
+
+def _compatible(d, v, e, f):
+    """Direct compatibility of arcs e and f at v (the defining relation)."""
+    e_out = e[0] == v
+    f_out = f[0] == v
+    if e_out == f_out:
+        return False
+    fe = e[1] if e_out else e[0]
+    ff = f[1] if f_out else f[0]
+    if fe == ff:
+        return False
+    return d.pair_kind(fe, ff) is not PairKind.DIGON
 
 
 def members_by_vertex(k):
@@ -155,8 +168,6 @@ def test_partition_and_degree_sum_random():
 
 def _bfs_components(d, v, arcs):
     # independent recomputation of the knotting classes by traversal
-    from dichordal.knotting import _compatible
-
     comps, seen = [], set()
     for a in arcs:
         if a in seen:

@@ -31,12 +31,13 @@ from dichordal.digraph import (
 )
 from dichordal.knotting import (
     _class_masks,
-    _compatible,
     knot_classes,
     knotting_graph,
     ss_chordal_via_knotting,
     theorem2_oracle,
 )
+
+from test_knotting import _compatible
 
 ALL_VARIANTS = (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"

@@ -14,7 +14,8 @@ import itertools
 
 import pytest
 
-from dichordal.chordality import Variant, _plain_di_simplicial, is_di_simplicial, witness
+from dichordal import chordality
+from dichordal.chordality import Variant, is_di_simplicial, witness
 from dichordal.classes import generate_locally_semicomplete, generate_wqt
 from dichordal.cli import main
 from dichordal.digraph import bits, enumerate_digraphs, random_digraph, serialize
@@ -22,6 +23,13 @@ from dichordal.digraph import bits, enumerate_digraphs, random_digraph, serializ
 from test_cli import EX1
 
 ALL_VARIANTS = (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
+
+
+def _plain_di_simplicial(ins, outs, v, variant, within):
+    """Is v di-simplicial in the subdigraph induced by the vertex set
+    `within`?  Over the subset oracle's plain-set pair rule."""
+    pairs = chordality._failing_pairs(ins, outs, v, variant)
+    return not any(u in within and w in within for u, w in pairs)
 
 
 def _fails(d, u, w, variant):
