@@ -31,19 +31,6 @@ from .digraph import (
 from .digraph import build  # noqa: F401  -- perfbench's tracer binds this name
 
 
-def _semicomplete_violation(d: Digraph) -> Optional[tuple[int, int]]:
-    for v in range(d.n):
-        missing = ~(d.neighbor_mask(v) | (1 << v)) & ((1 << d.n) - 1)
-        for w in bits(missing):
-            if w > v:
-                return (v, w)
-    return None
-
-
-def is_semicomplete(d: Digraph) -> bool:
-    return _semicomplete_violation(d) is None
-
-
 def _side_violation(side: int, out, inn) -> Optional[tuple[int, int]]:
     # smallest (x, y), x < y, of non-adjacent vertices in the mask `side`
     while side:
@@ -54,6 +41,14 @@ def _side_violation(side: int, out, inn) -> Optional[tuple[int, int]]:
         if ys:
             return x, (ys & -ys).bit_length() - 1
     return None
+
+
+def _semicomplete_violation(d: Digraph) -> Optional[tuple[int, int]]:
+    return _side_violation((1 << d.n) - 1, d.out_masks, d.in_masks)
+
+
+def is_semicomplete(d: Digraph) -> bool:
+    return _semicomplete_violation(d) is None
 
 
 def _locally_semicomplete_violation(d: Digraph) -> Optional[tuple[int, int, int]]:

@@ -344,24 +344,6 @@ def are_isomorphic(d1: Digraph, d2: Digraph) -> bool:
     return extend(0)
 
 
-def canonical_form(d: Digraph) -> tuple[int, ...]:
-    """Lexicographically smallest code tuple over all vertex relabellings.
-
-    Brute force over permutations; fine for the n <= 6 uses it has.
-    """
-    best = None
-    m = pair_slots(d.n)
-    for perm in itertools.permutations(range(d.n)):
-        inv = [0] * d.n
-        for old, new in enumerate(perm):
-            inv[new] = old
-        # kind of the pre-image pair, oriented as the new (i, j)
-        t = tuple(int(d.pair_kind(inv[i], inv[j])) for i, j in m)
-        if best is None or t < best:
-            best = t
-    return best if best is not None else ()
-
-
 # -- enumeration and random generation ----------------------------------------
 
 

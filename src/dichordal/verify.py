@@ -30,12 +30,15 @@ instances (or blocks) costs nothing extra.  A job runs one of two workers:
   Ascending parents give ascending rows, so the counterexamples keep their
   index order for every shard and worker count.
 
-Sources, judges and prefilters travel in a job by name and are looked up
-in this module's globals when the worker runs.  Jobs are then plain data
-that pickle for the pool, and whatever a name is bound to at run time is
-what runs: the benchmark's tracer rebinds `digraph_from_index`,
-`is_chordal`, `wqt_mask` and other names here to count their calls.  A
-rebound prefilter gets its own order-(n-1) table, built through it.
+Sources, judges and prefilters travel in a job as functions, read from
+this module's bindings when the check is called, so a rebinding here (the
+benchmark's tracer wraps `wqt_mask`, `is_chordal` and others) is what
+runs, and a rebound prefilter gets its own order-(n-1) table.  For the
+pool they pickle by reference; a closure needs `workers=1`.
+
+The knotting deletion probe reads a vertex's splitting classes in D and
+in D - v on D's own masks (`knotting._class_masks`), so it builds no
+induced copy and no knotting graph.
 
 The object path (is_chordal and the find_* detectors) is the route
 independent of the tables; the test suite cross-checks every table and
@@ -62,17 +65,13 @@ from .chordality import (
     underlying_SD_is_chordal,
 )
 from .classes import generate_locally_semicomplete, is_symmetric
-from .digraph import (
-    Digraph,
-    digraph_count,
-    digraph_from_index,
-    induced,
-    random_digraph,
-    serialize,
-)
+from .digraph import Digraph, bits, digraph_count, digraph_from_index, random_digraph, serialize
+from .digraph import induced  # noqa: F401  -- perfbench's tracer binds this name
 from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
-from .knotting import knotting_graph, ss_chordal_via_knotting, theorem2_oracle
-from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
+from .knotting import _class_masks, ss_chordal_via_knotting, theorem2_oracle
+from .knotting import knotting_graph  # noqa: F401  -- perfbench's tracer binds this name
+from .patterns import find_lollipop, find_nonsym_induced_dicycle
+from .patterns import find_any_fig1  # noqa: F401  -- perfbench's tracer binds this name
 from .tables import (
     TABLE_MAX_N,
     any_induced,
@@ -259,13 +258,13 @@ def _theorem5_rhs_fast(d: Digraph) -> bool:
 # -- the two workers ----------------------------------------------------------------
 
 
-def _object_scan(source: str, judge: str, args: tuple, start: int, stop: int) -> tuple:
-    """Build instances start..stop-1 as `source(*args, i)` and judge each.
+def _object_scan(make: Callable, decide: Callable, args: tuple, start: int, stop: int) -> tuple:
+    """Build instances start..stop-1 as `make(*args, i)` and judge each by
+    `decide`.
 
     The judge returns one (agrees, side values) pair per unit it checks:
     one per digraph, except one per deleted vertex for the deletion probe.
     """
-    make, decide = globals()[source], globals()[judge]
     total = passed = 0
     cx = []
     for i in range(start, stop):
@@ -280,16 +279,16 @@ def _object_scan(source: str, judge: str, args: tuple, start: int, stop: int) ->
 
 
 def _table_scan(
-    prefilter: str, families: tuple[str, ...], with_n: bool, n: int, start: int, stop: int
+    keep: Callable, families: tuple[str, ...], with_n: bool, n: int, start: int, stop: int
 ) -> tuple:
-    """Lookup-table scan of indices [start, stop) kept by `prefilter`, read
-    from its extension blocks: semi-strict chordal against (symmetric part
-    semi-strict chordal and no induced member of any of `families`).
+    """Lookup-table scan of indices [start, stop) kept by the prefilter
+    `keep`, read from its extension blocks: semi-strict chordal against
+    (symmetric part semi-strict chordal and no induced member of any of
+    `families`).
 
     Mismatches are recorded in index order; each record starts with the
     order n when `with_n` is set.
     """
-    keep = globals()[prefilter]
     chordal = semi_strict_table(n)
     obstructed = [containment_table(f, n) for f in families]
     filtered = passed = 0
@@ -312,9 +311,9 @@ def _table_scan(
     return (stop - start, filtered, passed, cx)
 
 
-def _table_job(prefilter: str, families: tuple[str, ...], with_n: bool, n: int) -> Job:
+def _table_job(keep: Callable, families: tuple[str, ...], with_n: bool, n: int) -> Job:
     """A `_table_scan` over all order-n indices, sharded by extension block."""
-    return Job(_table_scan, (prefilter, families, with_n, n), digraph_count(n), block_size(n))
+    return Job(_table_scan, (keep, families, with_n, n), digraph_count(n), block_size(n))
 
 
 # -- instance sources (the index source is digraph_from_index itself) --------------
@@ -366,10 +365,9 @@ def _judge_nesting(d: Digraph) -> tuple:
 
 
 def _judge_deletion(d: Digraph) -> list:
-    k_old = knotting_graph(d)
     units = []
     for v in range(d.n):
-        mismatch = _deletion_derived_mismatch(d, v, k_old)
+        mismatch = _deletion_derived_mismatch(d, v)
         units.append((mismatch is None, {"deleted_vertex": v, "mismatch": mismatch}))
     return units
 
@@ -389,13 +387,13 @@ def check_recognizer_equivalence(
         _check_samples(samples)
     params = {"n": n, "seed": seed}
     if n <= 4:
-        args = ("digraph_from_index", "_judge_recognizers", (n,))
+        args = (digraph_from_index, _judge_recognizers, (n,))
         job = Job(_object_scan, args, digraph_count(n))
     elif n == 5:
         if samples is None:
             raise ValueError("n=5 exceeds the exhaustive cap; pass a sample count")
         params["samples"] = samples
-        job = Job(_object_scan, ("_sampled_index", "_judge_recognizers", (n, seed)), samples)
+        job = Job(_object_scan, (_sampled_index, _judge_recognizers, (n, seed)), samples)
     else:
         raise ValueError(f"recognizer equivalence capped at n=5, got n={n}")
     return _check("recognizer-equivalence", params, [job], shards, workers)
@@ -406,7 +404,7 @@ def check_theorem4(n: int, shards: int = 1, workers: int = 1) -> VerificationRep
     semi-strict chordal == (symmetric part semi-strict chordal and no fig1)."""
     if n > TABLE_MAX_N:
         raise ValueError(f"theorem4 exhaustive check capped at n={TABLE_MAX_N}, got n={n}")
-    job = _table_job("wqt_mask", ("fig1",), False, n)
+    job = _table_job(wqt_mask, ("fig1",), False, n)
     return _check("theorem4", {"n": n}, [job], shards, workers)
 
 
@@ -439,10 +437,10 @@ def check_theorem5(
         )
     families = ("fig1", "dicycle", "lollipop")
     jobs = [
-        _table_job("lsc_mask", families, True, size) for size in range(1, n_exhaustive + 1)
+        _table_job(lsc_mask, families, True, size) for size in range(1, n_exhaustive + 1)
     ]
     if sizes:
-        tail = ("_lsc_tail", "_judge_theorem5_tail", (sizes, seed))
+        tail = (_lsc_tail, _judge_theorem5_tail, (sizes, seed))
         jobs.append(Job(_object_scan, tail, samples))
     params = {
         "n_exhaustive": n_exhaustive,
@@ -458,40 +456,44 @@ def check_nesting(n: int, shards: int = 1, workers: int = 1) -> VerificationRepo
     symmetric digraphs, semi-strict chordality == underlying-graph chordality."""
     if n > 4:
         raise ValueError(f"nesting check capped at n=4, got n={n}")
-    job = Job(_object_scan, ("digraph_from_index", "_judge_nesting", (n,)), digraph_count(n))
+    job = Job(_object_scan, (digraph_from_index, _judge_nesting, (n,)), digraph_count(n))
     return _check("nesting", {"n": n}, [job], shards, workers)
 
 
 # -- knotting deletion probe -------------------------------------------------------
 
 
-def _deletion_derived_mismatch(d: Digraph, v: int, k_old=None) -> Optional[str]:
+def _arc_classes(d: Digraph, u: int, alive: int) -> tuple[int, dict[tuple[int, int], int]]:
+    """u's splitting classes in D[alive]: their number (an arcless vertex
+    owns one empty class, as in `knot_classes`) and each arc's class index."""
+    count, where = 0, {}
+    for count, (cls_in, cls_out) in enumerate(_class_masks(d, u, alive), start=1):
+        where.update({(x, u): count for x in bits(cls_in)})
+        where.update({(u, y): count for y in bits(cls_out)})
+    return max(count, 1), where
+
+
+def _deletion_derived_mismatch(d: Digraph, v: int) -> Optional[str]:
     """Does deleting v's splitting vertices from K_D give K_{D-v}?
 
     Compared up to a group-respecting isomorphism keyed by the surviving
     arcs; stale member sets on the deletion side are ignored.  Returns a
-    mismatch description, or None when the graphs agree.  `k_old` is
-    knotting_graph(d), passed in when it is shared across deleted vertices.
+    mismatch description, or None when the graphs agree.  Each vertex's
+    classes are read on D's masks, in D and in D - v; class indices
+    follow the smallest member arc in both, as relabelling D - v would.
     """
-    if k_old is None:
-        k_old = knotting_graph(d)
-    keep = [u for u in range(d.n) if u != v]
-    relabel = {u: i for i, u in enumerate(keep)}
-    h = induced(d, keep)
-    k_new = knotting_graph(h)
-
-    for u in keep:
-        if len(k_old.group(u)) != len(k_new.group(relabel[u])):
+    full = (1 << d.n) - 1
+    for u in range(d.n):
+        if u == v:
+            continue
+        old_count, old = _arc_classes(d, u, full)
+        new_count, new = _arc_classes(d, u, full & ~(1 << v))
+        if old_count != new_count:
             return f"class count changes at vertex {u}"
         fwd: dict = {}
         rev: dict = {}
-        for x, y in d.arcs():
-            if v in (x, y) or u not in (x, y):
-                continue
-            # an edge's class at u: `.a` when u is the tail, `.b` when the head
-            old = k_old.arc_to_edge[(x, y)]
-            new = k_new.arc_to_edge[(relabel[x], relabel[y])]
-            old_id, new_id = (old.a, new.a) if u == x else (old.b, new.b)
+        for arc in sorted(new):  # u's surviving arcs, in d.arcs() order
+            old_id, new_id = old[arc], new[arc]
             if fwd.setdefault(old_id, new_id) != new_id:
                 return f"class of vertex {u} splits"
             if rev.setdefault(new_id, old_id) != old_id:
@@ -511,7 +513,7 @@ def probe_knotting_deletion(
     """
     if n < 2:
         raise ValueError(f"knotting-deletion probe needs n >= 2, got n={n}")
-    job = Job(_object_scan, ("_probe_digraph", "_judge_deletion", (n, seed)), samples)
+    job = Job(_object_scan, (_probe_digraph, _judge_deletion, (n, seed)), samples)
     params = {"n": n, "samples": samples, "seed": seed}
     return _check("knotting-deletion-probe", params, [job], shards, workers, asserted=False)
 

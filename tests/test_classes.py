@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from dichordal.classes import (
+    _semicomplete_violation,
     classify,
     generate_locally_semicomplete,
     generate_wqt,
@@ -17,9 +18,10 @@ from dichordal.classes import (
 )
 from dichordal.digraph import (
     build,
-    canonical_form,
     enumerate_digraphs,
+    pair_slots,
     parse,
+    random_digraph,
     serialize,
     substitute,
 )
@@ -28,6 +30,24 @@ from dichordal.patterns import expand_template, lollipop_template
 PATH = build(3, [(0, 1), (1, 2)])
 CYCLE3 = build(3, [(0, 1), (1, 2), (2, 0)])
 TRANSITIVE3 = build(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def canonical_form(d):
+    """Lexicographically smallest code tuple over all vertex relabellings.
+
+    Brute force over permutations; fine for the n <= 6 uses it has.
+    """
+    best = None
+    m = pair_slots(d.n)
+    for perm in itertools.permutations(range(d.n)):
+        inv = [0] * d.n
+        for old, new in enumerate(perm):
+            inv[new] = old
+        # kind of the pre-image pair, oriented as the new (i, j)
+        t = tuple(int(d.pair_kind(inv[i], inv[j])) for i, j in m)
+        if best is None or t < best:
+            best = t
+    return best if best is not None else ()
 
 
 def complete_symmetric(n):
@@ -39,6 +59,16 @@ def test_semicomplete():
     assert is_semicomplete(CYCLE3)
     assert not is_semicomplete(PATH)
     assert classify(PATH).witnesses["semicomplete"] == (0, 2)
+
+
+def test_semicomplete_witness_is_the_smallest_non_adjacent_pair():
+    # by a plain pair scan, exhaustively at n <= 4 and on seeded random digraphs
+    cases = [d for n in range(5) for d in enumerate_digraphs(n)]
+    cases += [random_digraph(2 + s % 7, (1, 4, 4, 8), seed=s) for s in range(300)]
+    for d in cases:
+        pairs = itertools.combinations(range(d.n), 2)
+        missing = [(x, y) for x, y in pairs if not d.adjacent(x, y)]
+        assert _semicomplete_violation(d) == min(missing, default=None)
 
 
 def test_locally_semicomplete():

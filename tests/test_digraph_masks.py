@@ -22,7 +22,6 @@ from dichordal.digraph import (
     PairKind,
     are_isomorphic,
     build,
-    canonical_form,
     digraph_from_index,
     from_out_masks,
     induced,
@@ -32,6 +31,8 @@ from dichordal.digraph import (
     symmetric_subdigraph,
     to_dot,
 )
+
+from test_classes import canonical_form
 
 # -- reference copies of the code-based construction -----------------------------------
 

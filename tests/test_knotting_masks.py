@@ -4,8 +4,9 @@
 parent's neighbourhood masks.  These tests check it against knot_classes
 of the real induced subdigraph and against a breadth-first search over the
 defining relation `_compatible`, and check the three subset-quantified
-checks against reference copies of the code that built an induced Digraph
-and a KnottingGraph for every subset and every deletion step.
+checks and the knotting deletion probe against reference copies of the
+code that built an induced Digraph and a KnottingGraph for every subset,
+every deletion step and every deleted vertex.
 """
 
 import contextlib
@@ -36,6 +37,7 @@ from dichordal.knotting import (
     ss_chordal_via_knotting,
     theorem2_oracle,
 )
+from dichordal.verify import _deletion_derived_mismatch
 
 from test_knotting import _compatible
 
@@ -132,6 +134,35 @@ def ref_oracle_is_chordal(d, variant):
     return True
 
 
+def ref_deletion_derived_mismatch(d, v, k_old=None):
+    """The deletion probe as it was: K_D against the knotting graph of an
+    induced relabelled copy of D - v, matched through a relabel map."""
+    if k_old is None:
+        k_old = knotting_graph(d)
+    keep = [u for u in range(d.n) if u != v]
+    relabel = {u: i for i, u in enumerate(keep)}
+    h = induced(d, keep)
+    k_new = knotting_graph(h)
+
+    for u in keep:
+        if len(k_old.group(u)) != len(k_new.group(relabel[u])):
+            return f"class count changes at vertex {u}"
+        fwd: dict = {}
+        rev: dict = {}
+        for x, y in d.arcs():
+            if v in (x, y) or u not in (x, y):
+                continue
+            # an edge's class at u: `.a` when u is the tail, `.b` when the head
+            old = k_old.arc_to_edge[(x, y)]
+            new = k_new.arc_to_edge[(relabel[x], relabel[y])]
+            old_id, new_id = (old.a, new.a) if u == x else (old.b, new.b)
+            if fwd.setdefault(old_id, new_id) != new_id:
+                return f"class of vertex {u} splits"
+            if rev.setdefault(new_id, old_id) != old_id:
+                return f"classes of vertex {u} merge"
+    return None
+
+
 # -- class masks -------------------------------------------------------------------
 
 
@@ -215,6 +246,21 @@ def test_subset_oracle_matches_reference_exhaustive_n4(variant):
 def test_subset_oracle_matches_reference_sampled_n5(variant):
     for d in sampled_n5():
         assert oracle_is_chordal(d, variant) == ref_oracle_is_chordal(d, variant), d
+
+
+def test_deletion_probe_matches_copy_based_reference_n2_to_n8():
+    kinds = set()
+    for seed in range(700):
+        n = 2 + seed % 7
+        d = random_digraph(n, [(1, 1, 1, 1), (3, 1, 1, 1), (1, 1, 1, 3)][seed % 3], seed=seed)
+        k_old = knotting_graph(d)
+        for v in range(n):
+            got = _deletion_derived_mismatch(d, v)
+            assert got == ref_deletion_derived_mismatch(d, v, k_old), (serialize(d), v)
+            kinds.add(got and got.split(" vertex")[0])
+    # agreement, changed counts and splits all occur; a merge cannot, since
+    # deleting v only removes arcs from the compatibility relation at u
+    assert kinds == {None, "class count changes at", "class of"}
 
 
 # -- knotting graph: degree identity and the owner index ------------------------------

@@ -87,13 +87,13 @@ def test_report_bytes_match_golden_with_two_workers():
     assert _digest(check, params, shards=3, workers=2) == digest
 
 
-def test_deletion_probe_builds_each_knotting_graph_once(monkeypatch):
-    # one knotting graph per sampled digraph and one per deleted vertex,
-    # not the digraph's own graph again for every deleted vertex
+def test_deletion_probe_builds_no_copy(monkeypatch):
+    # the probe reads each vertex's classes on the sampled digraph's own
+    # masks: no induced copy of D - v and no knotting graph at all
+    def refuse(*args):
+        raise AssertionError("the deletion probe built a copy")
+
     check, params, _, digest = GOLDEN[-1]
-    real = verify.knotting_graph
-    calls = []
-    monkeypatch.setattr(verify, "knotting_graph", lambda d: calls.append(d.n) or real(d))
+    monkeypatch.setattr(verify, "knotting_graph", refuse)
+    monkeypatch.setattr(verify, "induced", refuse)
     assert _digest(check, params) == digest
-    sizes = [2 + i % (params["n"] - 1) for i in range(params["samples"])]
-    assert len(calls) == len(sizes) + sum(sizes) == 180

@@ -1,24 +1,34 @@
 """The single-vertex witness against independent references.
 
 `witness(d, v, variant, within)` is the one non-greedy di-simplicial
-definition: `is_di_simplicial`, the CLI's NO verdict and the rescan
-reference of `tests/test_incremental.py` all go through it.  So it is
-checked here against code it shares nothing with: the plain-set
-`_plain_di_simplicial` of the subset oracle and a brute-force pair scan.
+definition: `is_di_simplicial`, `verify_ordering`, the CLI's NO verdict
+and the rescan reference of `tests/test_incremental.py` all go through
+it.  So it is checked here against code it shares nothing with: the
+plain-set `_plain_di_simplicial` of the subset oracle and a brute-force
+pair scan.  `verify_ordering` is checked against the copy-based version
+it replaced, which built an induced relabelled copy of every suffix.
 The `recognize` output is pinned by digest, captured before the CLI took
 its witness from the whole digraph instead of an induced relabelled copy.
 """
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from dichordal import chordality
-from dichordal.chordality import Variant, is_di_simplicial, witness
+from dichordal.chordality import (
+    EliminationOrdering,
+    Variant,
+    elimination_ordering,
+    is_di_simplicial,
+    verify_ordering,
+    witness,
+)
 from dichordal.classes import generate_locally_semicomplete, generate_wqt
 from dichordal.cli import main
-from dichordal.digraph import bits, enumerate_digraphs, random_digraph, serialize
+from dichordal.digraph import bits, enumerate_digraphs, induced, random_digraph, serialize
 
 from test_cli import EX1
 
@@ -75,6 +85,45 @@ def test_witness_rejects_bad_vertex():
             witness(d, v, Variant.SEMI_STRICT, 0b111)
         with pytest.raises(ValueError):
             is_di_simplicial(d, v, Variant.SEMI_STRICT)
+
+
+# -- verify_ordering against the copy-based certificate check ---------------------
+
+
+def ref_verify_ordering(d, ordering):
+    """The certificate check as it was: one induced relabelled copy and a
+    sort per suffix."""
+    if sorted(ordering.order) != list(range(d.n)):
+        raise ValueError("ordering is not a permutation of the vertex set")
+    for i, v in enumerate(ordering.order):
+        suffix = sorted(ordering.order[i:])
+        sub = induced(d, suffix)
+        if not is_di_simplicial(sub, suffix.index(v), ordering.variant):
+            return False
+    return True
+
+
+def test_verify_ordering_matches_copy_based_reference_exhaustive_n4(monkeypatch):
+    # on the greedy ordering (when one exists) and three seeded permutations;
+    # `chordality.induced` refuses, so verify_ordering builds no copy
+    def refuse(*args):
+        raise AssertionError("verify_ordering built an induced copy")
+
+    monkeypatch.setattr(chordality, "induced", refuse)
+    rng = random.Random(7)
+    verdicts = set()
+    for n in range(5):
+        for d in enumerate_digraphs(n):
+            for variant in ALL_VARIANTS:
+                greedy = elimination_ordering(d, variant)
+                if greedy is not None:
+                    assert verify_ordering(d, greedy) and ref_verify_ordering(d, greedy)
+                for _ in range(3):
+                    ordering = EliminationOrdering(tuple(rng.sample(range(n), n)), variant)
+                    verdict = verify_ordering(d, ordering)
+                    assert verdict == ref_verify_ordering(d, ordering)
+                    verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 # -- recognize output pinned by digest -----------------------------------------
