@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 import traceback
+from collections.abc import Iterable
+from itertools import chain, islice
 from pathlib import Path
 
 from . import knotting
@@ -56,15 +58,25 @@ def _read_digraph(path: str) -> tuple[Digraph, dict[int, str]]:
     return parse_labeled(text)
 
 
-def _namer(names: dict[int, str]):
-    return lambda v: names.get(v, str(v))
+def _labels(d: Digraph, names: dict[int, str]) -> list[str]:
+    """Each vertex's printed label: its name, else its number."""
+    return [names.get(v, str(v)) for v in range(d.n)]
+
+
+_CHUNK = 1024  # lines per write
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write newline-terminated lines to stdout, _CHUNK lines per write."""
+    it = iter(lines)
+    while chunk := "".join(islice(it, _CHUNK)):
+        sys.stdout.write(chunk)
 
 
 # -- recognize / order ---------------------------------------------------------
 
 
-def _variant_verdict(d: Digraph, names: dict[int, str], variant: Variant, as_json: bool):
-    nm = _namer(names)
+def _variant_verdict(d: Digraph, labels: list[str], variant: Variant, as_json: bool):
     order, stalled_mask = _greedy(*_variant_masks(d, variant))
     chordal = not stalled_mask
     if not chordal:
@@ -79,38 +91,41 @@ def _variant_verdict(d: Digraph, names: dict[int, str], variant: Variant, as_jso
             out["stalled"] = list(stalled)
         print(json.dumps(out))
     elif chordal:
-        print(f"{variant.value}: YES")
-        print("ordering: " + " ".join(nm(v) for v in order))
+        ordering = " ".join([labels[v] for v in order])
+        sys.stdout.write(f"{variant.value}: YES\nordering: {ordering}\n")
     else:
-        print(f"{variant.value}: NO")
-        print("witness: (" + ", ".join(nm(x) for x in triple) + ")")
-        print("stalled subdigraph on {" + ", ".join(nm(x) for x in stalled) + "}:")
-        sub_names = {i: nm(x) for i, x in enumerate(stalled)}
-        for line in serialize(induced(d, stalled), sub_names).splitlines():
-            print("  " + line)
+        sub_names = {i: labels[x] for i, x in enumerate(stalled)}
+        sub = serialize(induced(d, stalled), sub_names)
+        sys.stdout.write("".join([
+            f"{variant.value}: NO\n",
+            "witness: (" + ", ".join([labels[x] for x in triple]) + ")\n",
+            "stalled subdigraph on {" + ", ".join([labels[x] for x in stalled]) + "}:\n",
+            *[f"  {line}\n" for line in sub.splitlines()],
+        ]))
     return chordal
 
 
 def cmd_recognize(args) -> int:
     d, names = _read_digraph(args.input)
+    labels = _labels(d, names)
     if args.variant == "all":
         results = {
-            v: _variant_verdict(d, names, v, args.json)
+            v: _variant_verdict(d, labels, v, args.json)
             for v in (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
         }
         return 0 if results[Variant.SEMI_STRICT] else 1
-    ok = _variant_verdict(d, names, _VARIANTS[args.variant], args.json)
+    ok = _variant_verdict(d, labels, _VARIANTS[args.variant], args.json)
     return 0 if ok else 1
 
 
 def cmd_order(args) -> int:
     d, names = _read_digraph(args.input)
-    nm = _namer(names)
+    labels = _labels(d, names)
     ordering = elimination_ordering(d, _VARIANTS[args.variant])
     if args.json:
         print(json.dumps(list(ordering.order) if ordering else None))
     else:
-        print("NONE" if ordering is None else " ".join(nm(v) for v in ordering.order))
+        print("NONE" if ordering is None else " ".join([labels[v] for v in ordering.order]))
     return 0 if ordering is not None else 1
 
 
@@ -119,7 +134,6 @@ def cmd_order(args) -> int:
 
 def cmd_knot(args) -> int:
     d, names = _read_digraph(args.input)
-    nm = _namer(names)
     k = knotting.knotting_graph(d)
     if args.dot:
         sys.stdout.write(knotting.to_dot(k, names))
@@ -138,16 +152,20 @@ def cmd_knot(args) -> int:
         }
         print(json.dumps(out, indent=2))
         return 0
+    labels = _labels(d, names)
+    class_name = {c.id: f"{labels[c.owner]}^{c.index}" for c in k.classes}
 
-    def class_name(cid):
-        return f"{nm(cid[0])}^{cid[1]}"
+    def members(c: knotting.SplittingClass) -> str:
+        return ", ".join([f"{labels[u]}->{labels[w]}" for u, w in sorted(c.members)])
 
-    for c in k.classes:
-        members = ", ".join(f"{nm(u)}->{nm(v)}" for u, v in sorted(c.members))
-        print(f"{class_name(c.id)} = {{{members}}}")
-    for e in k.edges:
-        print(f"{class_name(e.a)} -- {class_name(e.b)}   [{nm(e.arc[0])}->{nm(e.arc[1])}]")
-    print(f"{len(k.classes)} classes, {len(k.edges)} edges")
+    _write_lines(chain(
+        (f"{class_name[c.id]} = {{{members(c)}}}\n" for c in k.classes),
+        (
+            f"{class_name[e.a]} -- {class_name[e.b]}   [{labels[e.arc[0]]}->{labels[e.arc[1]]}]\n"
+            for e in k.edges
+        ),
+        [f"{len(k.classes)} classes, {len(k.edges)} edges\n"],
+    ))
     return 0
 
 
@@ -156,7 +174,7 @@ def cmd_knot(args) -> int:
 
 def cmd_classify(args) -> int:
     d, names = _read_digraph(args.input)
-    nm = _namer(names)
+    labels = _labels(d, names)
     report = classify(d)
     if args.json:
         print(
@@ -171,7 +189,7 @@ def cmd_classify(args) -> int:
     for flag, value in report.flags.items():
         line = f"{flag.replace('_', '-')}: {'yes' if value else 'no'}"
         if not value:
-            tup = ", ".join(nm(x) for x in report.witnesses[flag])
+            tup = ", ".join([labels[x] for x in report.witnesses[flag]])
             line += f"   (violated by {tup})"
         print(line)
     return 0
@@ -182,7 +200,7 @@ def cmd_classify(args) -> int:
 
 def cmd_forbidden(args) -> int:
     d, names = _read_digraph(args.input)
-    nm = _namer(names)
+    labels = _labels(d, names)
     matches = []
     hit = find_any_fig1(d)
     if hit is not None:
@@ -202,10 +220,10 @@ def cmd_forbidden(args) -> int:
         return 0
     for kind, name, verts in matches:
         if kind == "pattern":
-            assigns = ", ".join(f"t{t}→h{nm(h)}" for t, h in enumerate(verts))
+            assigns = ", ".join([f"t{t}→h{labels[h]}" for t, h in enumerate(verts)])
             print(f"{name}: {assigns}")
         else:
-            print(f"{name}: " + "→".join(nm(v) for v in verts + verts[:1]))
+            print(f"{name}: " + "→".join([labels[v] for v in verts + verts[:1]]))
     return 1
 
 

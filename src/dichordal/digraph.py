@@ -459,7 +459,7 @@ def parse(text: str) -> Digraph:
 
 def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
     """Parse the text format, returning the digraph and any vertex names."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [s for s in map(str.strip, text.splitlines()) if s]
     if not lines:
         raise ValueError("empty digraph text")
     head = lines[0].split()

@@ -22,6 +22,12 @@ out-arcs to `out(v) & ~digon(u) & ~{u}`, and an out-arc to w with the
 in-arcs from `in(v) & ~digon(w) & ~{w}`, so a breadth-first search that
 expands each arc once finds every class in O(deg) mask operations.
 
+`knotting_graph` reads each vertex's class masks once.  While it builds
+a class, it records the class's id under the far end of each member arc,
+in-arcs and out-arcs apart; arc (u, w) then becomes the edge from
+u's class of out-arc w to w's class of in-arc u, with no second walk over
+the member sets.
+
 The same routine evaluates v inside any induced subdigraph D[S] without
 building it: restrict in(v) and out(v) to S.  That is exact because
 compatibility of two arcs at v depends only on their directions and on
@@ -140,36 +146,50 @@ def _qualifies(d: Digraph, v: int, alive: int) -> bool:
     return True
 
 
+def _group(
+    d: Digraph, v: int, ins: dict[int, ClassId], outs: dict[int, ClassId]
+) -> tuple[SplittingClass, ...]:
+    """v's splitting classes in D, indexed from 1 by their smallest member arc.
+
+    An isolated vertex owns a single empty class.  Records the id of the
+    class holding each arc at v by the arc's far end: ins[u] for the
+    in-arc (u, v), outs[w] for the out-arc (v, w).
+    """
+    group = []
+    for idx, (cls_in, cls_out) in enumerate(_class_masks(d, v, (1 << d.n) - 1), start=1):
+        cid = (v, idx)
+        tails = list(bits(cls_in))
+        heads = list(bits(cls_out))
+        ins.update(dict.fromkeys(tails, cid))
+        outs.update(dict.fromkeys(heads, cid))
+        group.append(
+            SplittingClass(v, idx, frozenset([(u, v) for u in tails] + [(v, w) for w in heads]))
+        )
+    return tuple(group) or (SplittingClass(v, 1, frozenset()),)
+
+
 def knot_classes(d: Digraph, v: int) -> list[SplittingClass]:
     """Splitting classes of v, indexed by their smallest member arc.
 
     An isolated vertex owns a single empty class.
     """
     d._check_vertex(v)
-    masks = list(_class_masks(d, v, (1 << d.n) - 1))
-    if not masks:
-        return [SplittingClass(v, 1, frozenset())]
-    return [
-        SplittingClass(
-            v,
-            idx,
-            frozenset([(u, v) for u in bits(cls_in)] + [(v, w) for w in bits(cls_out)]),
-        )
-        for idx, (cls_in, cls_out) in enumerate(masks, start=1)
-    ]
+    return list(_group(d, v, {}, {}))
 
 
 def knotting_graph(d: Digraph) -> KnottingGraph:
-    groups = tuple(tuple(knot_classes(d, v)) for v in range(d.n))
-    arc_class: dict[tuple[int, Arc], ClassId] = {}
-    for group in groups:
-        for cls in group:
-            for arc in cls.members:
-                arc_class[(cls.owner, arc)] = cls.id
+    """The knotting graph K_D, in one pass over the class masks.
+
+    Arc (u, w) becomes the edge between u's class holding it as an out-arc
+    and w's class holding it as an in-arc; edges follow `d.arcs()` order.
+    """
+    # in_id[w][u] and out_id[u][w]: the class of arc (u, w) at w and at u
+    in_id: list[dict[int, ClassId]] = [{} for _ in range(d.n)]
+    out_id: list[dict[int, ClassId]] = [{} for _ in range(d.n)]
+    groups = tuple(_group(d, v, in_id[v], out_id[v]) for v in range(d.n))
     edges = []
-    for arc in d.arcs():
-        u, w = arc
-        edges.append(KnottingEdge(arc, arc_class[(u, arc)], arc_class[(w, arc)]))
+    for u, outs in enumerate(out_id):  # keys: u's out-neighbours, sorted as in d.arcs()
+        edges += [KnottingEdge((u, w), cid, in_id[w][u]) for w, cid in sorted(outs.items())]
     return KnottingGraph(
         n=d.n,
         classes=tuple(cls for group in groups for cls in group),

@@ -1,0 +1,208 @@
+"""The CLI's text against the per-line printers it replaced.
+
+The commands now compute each vertex label once and write their lines in
+chunks.  The printers below are the earlier ones, one `print` and one
+label lookup per name; every command must give the same stdout and exit
+code on labelled files, including NO verdicts with stalled sets, the empty
+digraph and isolated vertices.  `knot` is printed from `ref_knotting_graph`,
+the two-pass graph construction, so these references share no text or
+graph code with the CLI.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+from dichordal import knotting
+from dichordal.chordality import Variant, _greedy, _variant_masks, elimination_ordering, witness
+from dichordal.classes import classify, generate_locally_semicomplete
+from dichordal.cli import main
+from dichordal.digraph import bits, build, induced, random_digraph, serialize
+from dichordal.patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
+
+from test_knotting_masks import ref_knotting_graph
+
+ALL_VARIANTS = (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
+
+
+def _namer(names):
+    return lambda v: names.get(v, str(v))
+
+
+# -- the earlier printers, kept as references --------------------------------------
+
+
+def ref_variant_verdict(d, names, variant, as_json):
+    nm = _namer(names)
+    order, stalled_mask = _greedy(*_variant_masks(d, variant))
+    chordal = not stalled_mask
+    if not chordal:
+        stalled = tuple(bits(stalled_mask))
+        triple = witness(d, stalled[0], variant, stalled_mask)
+    if as_json:
+        out = {"variant": variant.value, "chordal": chordal}
+        if chordal:
+            out["ordering"] = order
+        else:
+            out["witness"] = list(triple)
+            out["stalled"] = list(stalled)
+        print(json.dumps(out))
+    elif chordal:
+        print(f"{variant.value}: YES")
+        print("ordering: " + " ".join(nm(v) for v in order))
+    else:
+        print(f"{variant.value}: NO")
+        print("witness: (" + ", ".join(nm(x) for x in triple) + ")")
+        print("stalled subdigraph on {" + ", ".join(nm(x) for x in stalled) + "}:")
+        sub_names = {i: nm(x) for i, x in enumerate(stalled)}
+        for line in serialize(induced(d, stalled), sub_names).splitlines():
+            print("  " + line)
+    return chordal
+
+
+def ref_recognize(d, names, variant, as_json):
+    if variant == "all":
+        results = {v: ref_variant_verdict(d, names, v, as_json) for v in ALL_VARIANTS}
+        return 0 if results[Variant.SEMI_STRICT] else 1
+    return 0 if ref_variant_verdict(d, names, Variant(variant), as_json) else 1
+
+
+def ref_order(d, names, variant, as_json):
+    nm = _namer(names)
+    ordering = elimination_ordering(d, Variant(variant))
+    if as_json:
+        print(json.dumps(list(ordering.order) if ordering else None))
+    else:
+        print("NONE" if ordering is None else " ".join(nm(v) for v in ordering.order))
+    return 0 if ordering is not None else 1
+
+
+def ref_knot(d, names, flag):
+    nm = _namer(names)
+    k = ref_knotting_graph(d)
+    if flag == "--dot":
+        print(knotting.to_dot(k, names), end="")
+        return 0
+    if flag == "--json":
+        out = {
+            "classes": [
+                {
+                    "owner": c.owner,
+                    "index": c.index,
+                    "members": sorted(list(a) for a in c.members),
+                }
+                for c in k.classes
+            ],
+            "edges": [{"arc": list(e.arc), "a": list(e.a), "b": list(e.b)} for e in k.edges],
+        }
+        print(json.dumps(out, indent=2))
+        return 0
+
+    def class_name(cid):
+        return f"{nm(cid[0])}^{cid[1]}"
+
+    for c in k.classes:
+        members = ", ".join(f"{nm(u)}->{nm(v)}" for u, v in sorted(c.members))
+        print(f"{class_name(c.id)} = {{{members}}}")
+    for e in k.edges:
+        print(f"{class_name(e.a)} -- {class_name(e.b)}   [{nm(e.arc[0])}->{nm(e.arc[1])}]")
+    print(f"{len(k.classes)} classes, {len(k.edges)} edges")
+    return 0
+
+
+def ref_classify(d, names):
+    nm = _namer(names)
+    report = classify(d)
+    for flag, value in report.flags.items():
+        line = f"{flag.replace('_', '-')}: {'yes' if value else 'no'}"
+        if not value:
+            tup = ", ".join(nm(x) for x in report.witnesses[flag])
+            line += f"   (violated by {tup})"
+        print(line)
+    return 0
+
+
+def ref_forbidden(d, names):
+    nm = _namer(names)
+    matches = []
+    hit = find_any_fig1(d)
+    if hit is not None:
+        matches.append(("pattern", hit.name, list(hit.mapping)))
+    lol = find_lollipop(d)
+    if lol is not None:
+        matches.append(("pattern", lol.name, list(lol.mapping)))
+    cyc = find_nonsym_induced_dicycle(d)
+    if cyc is not None:
+        matches.append(("dicycle", f"dicycle{len(cyc)}", list(cyc)))
+    if not matches:
+        print("none")
+        return 0
+    for kind, name, verts in matches:
+        if kind == "pattern":
+            assigns = ", ".join(f"t{t}→h{nm(h)}" for t, h in enumerate(verts))
+            print(f"{name}: {assigns}")
+        else:
+            print(f"{name}: " + "→".join(nm(v) for v in verts + verts[:1]))
+    return 1
+
+
+# -- labelled inputs ------------------------------------------------------------------
+
+LABELS = ["v{}", "a b {}", 'q"{}\\', "ü{}", "x->{}", "{}^2", "{}"]
+
+
+def labelled_inputs():
+    """About twenty seeded (digraph, names) pairs; every third vertex
+    keeps its number, so named and numbered vertices mix."""
+    digraphs = [build(0, []), build(1, []), build(3, [(0, 1), (1, 0)])]  # n = 0, isolated vertices
+    weights = [(1, 1, 1, 1), (4, 1, 1, 1), (1, 1, 1, 4), (2, 1, 0, 1)]
+    for seed in range(13):
+        digraphs.append(random_digraph(3 + seed, weights[seed % 4], seed=seed))
+    digraphs += [generate_locally_semicomplete(seed, 6 + seed) for seed in range(4)]
+    for i, d in enumerate(digraphs):
+        names = {v: LABELS[(v + i) % len(LABELS)].format(v) for v in range(d.n) if v % 3 != 2}
+        yield d, names
+
+
+INPUTS = list(labelled_inputs())
+
+COMMANDS = [
+    (["recognize", "--variant", "all"], lambda d, nm: ref_recognize(d, nm, "all", False)),
+    (["recognize", "--variant", "all", "--json"], lambda d, nm: ref_recognize(d, nm, "all", True)),
+    (["recognize", "--variant", "strict"], lambda d, nm: ref_recognize(d, nm, "strict", False)),
+    (["order", "--variant", "chordal"], lambda d, nm: ref_order(d, nm, "chordal", False)),
+    (["knot"], lambda d, nm: ref_knot(d, nm, "")),
+    (["knot", "--json"], lambda d, nm: ref_knot(d, nm, "--json")),
+    (["knot", "--dot"], lambda d, nm: ref_knot(d, nm, "--dot")),
+    (["classify"], ref_classify),
+    (["forbidden"], ref_forbidden),
+]
+
+
+def captured(fn, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fn(*args)
+    return code, out.getvalue()
+
+
+def test_inputs_cover_the_edge_cases():
+    assert len(INPUTS) >= 20
+    assert any(d.n == 0 for d, _ in INPUTS)
+    assert any(d.n and not d.neighbor_mask(v) for d, _ in INPUTS for v in range(d.n))
+    no_with_stalled = [
+        d for d, _ in INPUTS
+        if _greedy(*_variant_masks(d, Variant.SEMI_STRICT))[1]
+    ]
+    assert len(no_with_stalled) >= 5
+
+
+@pytest.mark.parametrize("argv, ref", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+def test_stdout_matches_the_per_line_printers(tmp_path, argv, ref):
+    for i, (d, names) in enumerate(INPUTS):
+        path = tmp_path / f"in{i}.dg"
+        path.write_text(serialize(d, names))
+        got = captured(main, [*argv, str(path)])
+        assert got == captured(ref, d, names), (argv, serialize(d, names))

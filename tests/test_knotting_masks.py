@@ -6,7 +6,9 @@ of the real induced subdigraph and against a breadth-first search over the
 defining relation `_compatible`, and check the three subset-quantified
 checks and the knotting deletion probe against reference copies of the
 code that built an induced Digraph and a KnottingGraph for every subset,
-every deletion step and every deleted vertex.
+every deletion step and every deleted vertex.  `knotting_graph`, which
+assembles the graph in one pass over the class masks, is checked against
+the two-pass code it replaced.
 """
 
 import contextlib
@@ -31,6 +33,9 @@ from dichordal.digraph import (
     serialize,
 )
 from dichordal.knotting import (
+    KnottingEdge,
+    KnottingGraph,
+    SplittingClass,
     _class_masks,
     knot_classes,
     knotting_graph,
@@ -163,6 +168,43 @@ def ref_deletion_derived_mismatch(d, v, k_old=None):
     return None
 
 
+def ref_knotting_graph(d):
+    """knotting_graph as it was: each vertex's classes built by the old
+    `knot_classes`, then every arc's two classes looked up in a dict keyed
+    by (owner, arc) over all member sets."""
+
+    def knot_classes(d, v):
+        masks = list(_class_masks(d, v, (1 << d.n) - 1))
+        if not masks:
+            return [SplittingClass(v, 1, frozenset())]
+        return [
+            SplittingClass(
+                v,
+                idx,
+                frozenset([(u, v) for u in bits(cls_in)] + [(v, w) for w in bits(cls_out)]),
+            )
+            for idx, (cls_in, cls_out) in enumerate(masks, start=1)
+        ]
+
+    groups = tuple(tuple(knot_classes(d, v)) for v in range(d.n))
+    arc_class = {}
+    for group in groups:
+        for cls in group:
+            for arc in cls.members:
+                arc_class[(cls.owner, arc)] = cls.id
+    edges = []
+    for arc in d.arcs():
+        u, w = arc
+        edges.append(KnottingEdge(arc, arc_class[(u, arc)], arc_class[(w, arc)]))
+    return KnottingGraph(
+        n=d.n,
+        classes=tuple(cls for group in groups for cls in group),
+        edges=tuple(edges),
+        arc_to_edge={e.arc: e for e in edges},
+        groups=groups,
+    )
+
+
 # -- class masks -------------------------------------------------------------------
 
 
@@ -261,6 +303,61 @@ def test_deletion_probe_matches_copy_based_reference_n2_to_n8():
     # agreement, changed counts and splits all occur; a merge cannot, since
     # deleting v only removes arcs from the compatibility relation at u
     assert kinds == {None, "class count changes at", "class of"}
+
+
+def test_deletion_classes_refine_the_classes_in_d_n2_to_n8():
+    # why the probe needs no merge check: every class of u in D - v lies
+    # inside one class of u in D
+    splits = 0
+    for seed in range(700):
+        n = 2 + seed % 7
+        d = random_digraph(n, [(1, 1, 1, 1), (3, 1, 1, 1), (1, 1, 1, 3)][seed % 3], seed=seed)
+        full = (1 << n) - 1
+        for v in range(n):
+            for u in range(n):
+                if u == v:
+                    continue
+                old = list(_class_masks(d, u, full))
+                new = list(_class_masks(d, u, full & ~(1 << v)))
+                hosts = [
+                    [i for i, (a, b) in enumerate(old) if not cls_in & ~a and not cls_out & ~b]
+                    for cls_in, cls_out in new
+                ]
+                assert all(len(h) == 1 for h in hosts), (serialize(d), v, u)
+                splits += len(hosts) > len({h[0] for h in hosts})
+    assert splits  # some class does split, so the check is not vacuous
+
+
+# -- knotting graph: one pass against the two-pass reference ---------------------------
+
+
+def assert_same_knotting_graph(d):
+    got, want = knotting_graph(d), ref_knotting_graph(d)
+    assert got == want, d
+    # `==` skips the compare=False fields
+    assert got.groups == want.groups, d
+    assert list(got.arc_to_edge.items()) == list(want.arc_to_edge.items()), d
+    for v in range(d.n):
+        assert tuple(knot_classes(d, v)) == want.groups[v], (d, v)
+
+
+def test_knotting_graph_matches_reference_exhaustive_n4():
+    for d in small_digraphs():
+        assert_same_knotting_graph(d)
+
+
+@pytest.mark.parametrize("weights", [(8, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 6)],
+                         ids=["sparse", "mixed", "dense"])
+def test_knotting_graph_matches_reference_random_up_to_n40(weights):
+    isolated = 0
+    for n in range(1, 41):
+        for seed in range(3):
+            d = random_digraph(n, weights, seed=1000 * n + seed)
+            # vertices 0 and n + 1 are isolated
+            d = build(n + 2, [(u + 1, w + 1) for u, w in d.arcs()])
+            isolated += sum(not d.neighbor_mask(v) for v in range(d.n))
+            assert_same_knotting_graph(d)
+    assert isolated
 
 
 # -- knotting graph: degree identity and the owner index ------------------------------

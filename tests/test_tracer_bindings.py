@@ -5,6 +5,11 @@ including imports a module does not otherwise use (such as
 `dichordal.verify.find_any_fig1`).  Removing one of those names breaks
 `perfbench/run.py --trace 1`, so each binding is resolved here.  The
 tracer is only loaded, never installed.
+
+A binding can also resolve and still time nothing, when the code stops
+calling through it.  The `query` workload's spans on the knotting graph,
+the parser and the stalled-subdigraph printout are therefore wrapped the
+way the tracer wraps them, and `cli.main` must call each once per use.
 """
 
 import importlib.util
@@ -34,3 +39,49 @@ def test_binding_resolves(module, attr, span):
 @pytest.mark.parametrize("module, cls, attr, span", tracer.METHODS)
 def test_method_binding_resolves(module, cls, attr, span):
     assert callable(getattr(import_module(module), cls).__dict__[attr])
+
+
+# -- the `query` spans stay live -------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+QUERY_SPANS = (
+    ("dichordal.knotting", "knotting_graph"),
+    ("dichordal.cli", "parse_labeled"),
+    ("dichordal.cli", "induced"),
+    ("dichordal.cli", "serialize"),
+)
+
+
+@pytest.fixture
+def query_calls(monkeypatch):
+    """Wrap the bindings that the `query` workload's spans time, as the
+    tracer does, and count the calls that go through each."""
+    calls = dict.fromkeys((attr for _, attr in QUERY_SPANS), 0)
+    for module, attr in QUERY_SPANS:
+        fn = getattr(import_module(module), attr)
+
+        def counted(*args, _fn=fn, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(import_module(module), attr, counted)
+    return calls
+
+
+def test_knot_reaches_the_graph_and_the_parser_once(query_calls, capsys):
+    from dichordal.cli import main
+
+    assert main(["knot", str(DATA / "example1.dg")]) == 0
+    assert "classes" in capsys.readouterr().out
+    assert query_calls == {"knotting_graph": 1, "parse_labeled": 1, "induced": 0, "serialize": 0}
+
+
+def test_each_no_verdict_prints_one_induced_copy(query_calls, capsys):
+    from dichordal.cli import main
+
+    # example1: chordal YES, semi-strict NO, strict NO
+    assert main(["recognize", "--variant", "all", str(DATA / "example1.dg")]) == 1
+    out = capsys.readouterr().out
+    assert out.count(": NO\n") == 2 and out.count(": YES\n") == 1
+    assert query_calls == {"knotting_graph": 0, "parse_labeled": 1, "induced": 2, "serialize": 2}
