@@ -257,6 +257,14 @@ def test_parse_rejects_malformed(text):
         parse(text)
 
 
+def test_parse_skips_blank_lines_and_strips_each_line():
+    text = "\n  3 2 \n\n 0 1\t\n   \n1 2\r\n# 0  a b \n"
+    assert parse_labeled(text) == (build(3, [(0, 1), (1, 2)]), {0: "a b"})
+    # messages quote the stripped line
+    with pytest.raises(ValueError, match=r"^malformed arc line '0 1 2'$"):
+        parse("2 1\n\n   0 1 2  \n")
+
+
 def test_to_dot_marks_digons(ex1):
     dot = to_dot(ex1, {0: "a", 1: "b", 2: "c", 3: "d"})
     assert "2 -> 3 [dir=both];" in dot
