@@ -33,9 +33,10 @@ lowest bit first.  `_variant_masks` picks the lists for a variant; STRICT
 runs the same loop with both sides set to all neighbours.  A caller that
 holds other masks runs the loop on them directly: the theorem-5 tail
 decides a symmetric part on (digon, digon, digon) without building it.
-`witness`, on the same lists restricted to a vertex set, is the
-single-vertex definition: `is_di_simplicial`, `verify_ordering`, the CLI's
-NO verdict and the tests' rescan reference all go through it.
+`_witness`, on the same lists restricted to a vertex set, is the
+single-vertex definition: `witness` (and through it `is_di_simplicial`,
+the CLI's NO verdict and the tests' rescan reference) reads the lists for
+one call, `verify_ordering` once per ordering.
 """
 
 from __future__ import annotations
@@ -84,10 +85,16 @@ def witness(
     """
     d._check_vertex(v)
     alive = (1 << d.n) - 1 if within is None else within
-    ins, outs, required = _variant_masks(d, variant)
-    ins, outs = ins[v] & alive, outs[v] & alive
-    for u in bits(ins):  # a failing STRICT pair w < u was found at u = w
-        bad = outs & ~(1 << u) & ~required[u]
+    return _witness(*_variant_masks(d, variant), v, alive)
+
+
+def _witness(
+    ins: Sequence[int], outs: Sequence[int], required: Sequence[int], v: int, alive: int
+) -> Optional[Witness]:
+    """`witness` on a variant's mask lists, with v's sides restricted to `alive`."""
+    outv = outs[v] & alive
+    for u in bits(ins[v] & alive):  # a failing STRICT pair w < u was found at u = w
+        bad = outv & ~(1 << u) & ~required[u]
         if bad:
             return Witness(u, v, (bad & -bad).bit_length() - 1)
     return None
@@ -174,15 +181,16 @@ def stalled_subdigraph(d: Digraph, variant: Variant) -> Optional[tuple[int, ...]
 def verify_ordering(d: Digraph, ordering: EliminationOrdering) -> bool:
     """Certificate check: each vertex must be di-simplicial among its suffix.
 
-    Walks the ordering with the suffix as a vertex mask and asks `witness`
-    on it, independently of the recognizer's incremental state; no
-    induced subdigraph is built.
+    Reads the variant's mask lists once, then walks the ordering with the
+    suffix as a vertex mask and asks `_witness` on it, independently of
+    the recognizer's incremental state; no induced subdigraph is built.
     """
     if sorted(ordering.order) != list(range(d.n)):
         raise ValueError("ordering is not a permutation of the vertex set")
+    masks = _variant_masks(d, ordering.variant)
     alive = (1 << d.n) - 1
     for v in ordering.order:
-        if witness(d, v, ordering.variant, alive) is not None:
+        if _witness(*masks, v, alive) is not None:
             return False
         alive ^= 1 << v
     return True

@@ -20,19 +20,7 @@ from . import knotting
 from .chordality import Variant, _greedy, _variant_masks, elimination_ordering, witness
 from .chordality import is_chordal  # noqa: F401  -- perfbench's tracer binds this name
 from .chordality import stalled_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
-from .classes import (
-    classify,
-    generate_locally_semicomplete,
-    generate_wqt,
-    is_extended_semicomplete,
-    is_locally_semicomplete,
-    is_oriented,
-    is_quasi_transitive,
-    is_semicomplete,
-    is_symmetric,
-    is_transitive_oriented,
-    is_weakly_quasi_transitive,
-)
+from .classes import _FLAG_CHECKS, classify, generate_locally_semicomplete, generate_wqt
 from .digraph import (
     Digraph,
     bits,
@@ -281,23 +269,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# --filter choices: the class catalogue's flags, hyphenated; each maps to its violation check
 _FILTERS = {
-    "semicomplete": is_semicomplete,
-    "locally-semicomplete": is_locally_semicomplete,
-    "wqt": is_weakly_quasi_transitive,
-    "quasi-transitive": is_quasi_transitive,
-    "extended-semicomplete": is_extended_semicomplete,
-    "symmetric": is_symmetric,
-    "oriented": is_oriented,
-    "transitive-oriented": is_transitive_oriented,
+    "wqt" if flag == "weakly_quasi_transitive" else flag.replace("_", "-"): violation
+    for flag, violation in _FLAG_CHECKS.items()
 }
 
 
 def cmd_enumerate(args) -> int:
-    pred = _FILTERS[args.filter] if args.filter else None
+    violation = _FILTERS[args.filter] if args.filter else None
     first = True
     for d in enumerate_digraphs(args.n, cap=args.cap):
-        if pred is not None and not pred(d):
+        if violation is not None and violation(d) is not None:
             continue
         if not first:
             print()

@@ -208,9 +208,12 @@ def group_max_degree(k: KnottingGraph, v: int) -> int:
 def lemma1_check(d: Digraph, v: int) -> bool:
     """Knotting-side di-simpliciality test: all of v's classes have degree <= 1.
 
-    Agrees with the semi-strict di-simplicial test pointwise.
+    Read from v's class masks alone by the degree identity (`_qualifies`);
+    no knotting graph is built.  Agrees with the semi-strict di-simplicial
+    test pointwise.
     """
-    return group_max_degree(knotting_graph(d), v) <= 1
+    d._check_vertex(v)
+    return _qualifies(d, v, (1 << d.n) - 1)
 
 
 def ss_chordal_via_knotting(d: Digraph) -> bool:

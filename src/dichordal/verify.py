@@ -36,9 +36,9 @@ benchmark's tracer wraps `wqt_mask`, `is_chordal` and others) is what
 runs, and a rebound prefilter gets its own order-(n-1) table.  For the
 pool they pickle by reference; a closure needs `workers=1`.
 
-The knotting deletion probe reads a vertex's splitting classes in D and
-in D - v on D's own masks (`knotting._class_masks`), so it builds no
-induced copy and no knotting graph.
+The knotting deletion probe compares a vertex's splitting classes in D
+and in D - v as `knotting._class_masks` pairs on D's own masks, so it
+builds no induced copy, no knotting graph and no per-arc class index.
 
 The object path (is_chordal and the find_* detectors) is the route
 independent of the tables; the test suite cross-checks every table and
@@ -65,7 +65,7 @@ from .chordality import (
     underlying_SD_is_chordal,
 )
 from .classes import generate_locally_semicomplete, is_symmetric
-from .digraph import Digraph, bits, digraph_count, digraph_from_index, random_digraph, serialize
+from .digraph import Digraph, digraph_count, digraph_from_index, random_digraph, serialize
 from .digraph import induced  # noqa: F401  -- perfbench's tracer binds this name
 from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
 from .knotting import _class_masks, ss_chordal_via_knotting, theorem2_oracle
@@ -463,43 +463,33 @@ def check_nesting(n: int, shards: int = 1, workers: int = 1) -> VerificationRepo
 # -- knotting deletion probe -------------------------------------------------------
 
 
-def _arc_classes(d: Digraph, u: int, alive: int) -> tuple[int, dict[tuple[int, int], int]]:
-    """u's splitting classes in D[alive]: their number (an arcless vertex
-    owns one empty class, as in `knot_classes`) and each arc's class index."""
-    count, where = 0, {}
-    for count, (cls_in, cls_out) in enumerate(_class_masks(d, u, alive), start=1):
-        where.update({(x, u): count for x in bits(cls_in)})
-        where.update({(u, y): count for y in bits(cls_out)})
-    return max(count, 1), where
-
-
 def _deletion_derived_mismatch(d: Digraph, v: int) -> Optional[str]:
     """Does deleting v's splitting vertices from K_D give K_{D-v}?
 
     Compared up to a group-respecting isomorphism keyed by the surviving
     arcs; stale member sets on the deletion side are ignored.  Returns a
-    mismatch description, or None when the graphs agree.  Each vertex's
-    classes are read on D's masks, in D and in D - v; class indices
-    follow the smallest member arc in both, as relabelling D - v would.
+    mismatch description, or None when the graphs agree.  Each vertex u's
+    classes are compared as `knotting._class_masks` pairs (in_mask,
+    out_mask) on D's masks, in D and in D - v; no class index is needed.
 
     Classes of u cannot merge: deleting v removes arcs at u but keeps the
     direct compatibility of the surviving ones (their directions and the
     pair kinds of their far ends), and dropping arcs can only split a
     component of that relation, so u's classes in D - v refine its
-    classes in D.  Only a split or a changed class count can show.
+    classes in D.  Only a changed class count (an arcless vertex owns one
+    empty class) or a split can show, and a split is exactly an old class
+    whose masks meet two new classes.
     """
     full = (1 << d.n) - 1
     for u in range(d.n):
         if u == v:
             continue
-        old_count, old = _arc_classes(d, u, full)
-        new_count, new = _arc_classes(d, u, full & ~(1 << v))
-        if old_count != new_count:
+        old = list(_class_masks(d, u, full))
+        new = list(_class_masks(d, u, full & ~(1 << v)))
+        if max(len(old), 1) != max(len(new), 1):
             return f"class count changes at vertex {u}"
-        fwd: dict = {}
-        for arc in sorted(new):  # u's surviving arcs, in d.arcs() order
-            new_id = new[arc]
-            if fwd.setdefault(old[arc], new_id) != new_id:
+        for old_in, old_out in old:
+            if sum(1 for new_in, new_out in new if new_in & old_in or new_out & old_out) > 1:
                 return f"class of vertex {u} splits"
     return None
 

@@ -1,10 +1,22 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from dichordal import chordality, cli
-from dichordal.cli import main
+from dichordal.classes import (
+    is_extended_semicomplete,
+    is_locally_semicomplete,
+    is_oriented,
+    is_quasi_transitive,
+    is_semicomplete,
+    is_symmetric,
+    is_transitive_oriented,
+    is_weakly_quasi_transitive,
+)
+from dichordal.cli import build_parser, main
+from dichordal.digraph import enumerate_digraphs, serialize
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 EX1 = str(DATA / "example1.dg")
@@ -197,6 +209,34 @@ def test_enumerate_filtered(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--filter", "semicomplete")
     blocks = [b for b in out.split("\n\n") if b.strip()]
     assert len(blocks) == 27  # 3 kinds per pair, 3 pairs
+
+
+# every --filter choice, in parser order (`--help` and the invalid-choice error print it)
+FILTER_PREDICATES = {
+    "semicomplete": is_semicomplete,
+    "locally-semicomplete": is_locally_semicomplete,
+    "wqt": is_weakly_quasi_transitive,
+    "quasi-transitive": is_quasi_transitive,
+    "extended-semicomplete": is_extended_semicomplete,
+    "symmetric": is_symmetric,
+    "oriented": is_oriented,
+    "transitive-oriented": is_transitive_oriented,
+}
+
+
+def test_enumerate_every_filter_keeps_what_its_predicate_accepts(capsys):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    enumerate_parser = subparsers.choices["enumerate"]
+    choices = next(a for a in enumerate_parser._actions if a.dest == "filter").choices
+    assert tuple(choices) == tuple(FILTER_PREDICATES)
+    for choice, pred in FILTER_PREDICATES.items():
+        for k in range(4):
+            code, out, err = run(capsys, "enumerate", "--n", str(k), "--filter", choice)
+            kept = [serialize(d) for d in enumerate_digraphs(k) if pred(d)]
+            assert (code, err) == (0, "")
+            assert out == "\n".join(kept), (choice, k)
 
 
 def test_enumerate_cap(capsys):

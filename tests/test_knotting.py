@@ -1,5 +1,6 @@
 import pytest
 
+from dichordal import knotting
 from dichordal.chordality import Variant, is_di_simplicial, oracle_is_chordal
 from dichordal.digraph import PairKind, build, enumerate_digraphs, random_digraph
 from dichordal.knotting import (
@@ -137,6 +138,30 @@ def test_lemma1_exhaustive_n3():
             assert (group_max_degree(k, v) <= 1) == is_di_simplicial(
                 d, v, Variant.SEMI_STRICT
             )
+
+
+def test_lemma1_check_matches_the_graph_route_without_building_it(monkeypatch):
+    # every digraph with n <= 4 and seeded random ones up to n = 8; the
+    # graph-route answers are computed first, then `knotting_graph` refuses
+    cases = [d for n in range(5) for d in enumerate_digraphs(n)]
+    cases += [
+        random_digraph(n, weights, seed=seed)
+        for n in range(5, 9)
+        for weights in ((1, 1, 1, 1), (2, 1, 1, 2), (4, 1, 1, 1))
+        for seed in range(40)
+    ]
+    expected = [[group_max_degree(knotting_graph(d), v) <= 1 for v in range(d.n)] for d in cases]
+
+    def refuse(d):
+        raise AssertionError("lemma1_check built a knotting graph")
+
+    monkeypatch.setattr(knotting, "knotting_graph", refuse)
+    assert [[lemma1_check(d, v) for v in range(d.n)] for d in cases] == expected
+    assert {x for row in expected for x in row} == {False, True}
+    for d in (build(0, []), build(3, [(0, 1)])):
+        for v in (-1, d.n):
+            with pytest.raises(ValueError, match="out of range"):
+                lemma1_check(d, v)
 
 
 def test_lemma1_random_n6():

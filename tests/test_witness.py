@@ -1,9 +1,9 @@
 """The single-vertex witness against independent references.
 
 `witness(d, v, variant, within)` is the one non-greedy di-simplicial
-definition: `is_di_simplicial`, `verify_ordering`, the CLI's NO verdict
-and the rescan reference of `tests/test_incremental.py` all go through
-it.  So it is checked here against code it shares nothing with: the
+definition: `is_di_simplicial`, the CLI's NO verdict and the rescan
+reference of `tests/test_incremental.py` all go through it, and
+`verify_ordering` runs its mask-level core `_witness` on lists read once.  So it is checked here against code it shares nothing with: the
 plain-set `_plain_di_simplicial` of the subset oracle and a brute-force
 pair scan.  `verify_ordering` is checked against the copy-based version
 it replaced, which built an induced relabelled copy of every suffix.
@@ -28,7 +28,7 @@ from dichordal.chordality import (
 )
 from dichordal.classes import generate_locally_semicomplete, generate_wqt
 from dichordal.cli import main
-from dichordal.digraph import bits, enumerate_digraphs, induced, random_digraph, serialize
+from dichordal.digraph import bits, build, enumerate_digraphs, induced, random_digraph, serialize
 
 from test_cli import EX1
 
@@ -124,6 +124,26 @@ def test_verify_ordering_matches_copy_based_reference_exhaustive_n4(monkeypatch)
                     assert verdict == ref_verify_ordering(d, ordering)
                     verdicts.add(verdict)
     assert verdicts == {False, True}
+
+
+def test_verify_ordering_reads_the_variant_masks_once(monkeypatch):
+    # one `_variant_masks` call per ordering, accepted or rejected, not one per vertex
+    real = chordality._variant_masks
+    calls = []
+
+    def counting(d, variant):
+        calls.append(variant)
+        return real(d, variant)
+
+    path = build(40, [(i, i + 1) for i in range(39)] + [(i + 1, i) for i in range(39)])
+    rejected = EliminationOrdering(tuple(range(1, 40)) + (0,), Variant.STRICT)
+    cases = [(path, elimination_ordering(path, v), True) for v in ALL_VARIANTS]
+    cases.append((path, rejected, False))
+    monkeypatch.setattr(chordality, "_variant_masks", counting)
+    for d, ordering, verdict in cases:
+        calls.clear()
+        assert verify_ordering(d, ordering) is verdict
+        assert calls == [ordering.variant]
 
 
 # -- recognize output pinned by digest -----------------------------------------
