@@ -64,7 +64,25 @@ def _write_lines(lines: Iterable[str]) -> None:
 # -- recognize / order ---------------------------------------------------------
 
 
-def _variant_verdict(d: Digraph, labels: list[str], variant: Variant, as_json: bool):
+def _stalled_text(d: Digraph, labels: list[str], stalled: tuple[int, ...]) -> str:
+    """The "stalled subdigraph on {...}:" block: the stalled set's labels,
+    then the induced subdigraph's serialization indented by two spaces.
+
+    The indent is one replace: the text has no line boundary but "\n",
+    since every label comes from a line that `parse_labeled` already split.
+    """
+    sub = serialize(induced(d, stalled), {i: labels[x] for i, x in enumerate(stalled)})
+    return "".join([
+        "stalled subdigraph on {" + ", ".join([labels[x] for x in stalled]) + "}:\n",
+        "  " + sub[:-1].replace("\n", "\n  ") + "\n",
+    ])
+
+
+def _variant_verdict(
+    d: Digraph, labels: list[str], variant: Variant, as_json: bool, texts: dict[int, str]
+):
+    """Print one variant's verdict.  `texts` caches the stalled-subdigraph
+    block by stalled mask, so variants that stall on one set share it."""
     order, stalled_mask = _greedy(*_variant_masks(d, variant))
     chordal = not stalled_mask
     if not chordal:
@@ -82,13 +100,12 @@ def _variant_verdict(d: Digraph, labels: list[str], variant: Variant, as_json: b
         ordering = " ".join([labels[v] for v in order])
         sys.stdout.write(f"{variant.value}: YES\nordering: {ordering}\n")
     else:
-        sub_names = {i: labels[x] for i, x in enumerate(stalled)}
-        sub = serialize(induced(d, stalled), sub_names)
+        if stalled_mask not in texts:
+            texts[stalled_mask] = _stalled_text(d, labels, stalled)
         sys.stdout.write("".join([
             f"{variant.value}: NO\n",
             "witness: (" + ", ".join([labels[x] for x in triple]) + ")\n",
-            "stalled subdigraph on {" + ", ".join([labels[x] for x in stalled]) + "}:\n",
-            *[f"  {line}\n" for line in sub.splitlines()],
+            texts[stalled_mask],
         ]))
     return chordal
 
@@ -96,13 +113,14 @@ def _variant_verdict(d: Digraph, labels: list[str], variant: Variant, as_json: b
 def cmd_recognize(args) -> int:
     d, names = _read_digraph(args.input)
     labels = _labels(d, names)
+    texts: dict[int, str] = {}  # stalled-subdigraph blocks of this command, by stalled mask
     if args.variant == "all":
         results = {
-            v: _variant_verdict(d, labels, v, args.json)
+            v: _variant_verdict(d, labels, v, args.json, texts)
             for v in (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
         }
         return 0 if results[Variant.SEMI_STRICT] else 1
-    ok = _variant_verdict(d, labels, _VARIANTS[args.variant], args.json)
+    ok = _variant_verdict(d, labels, _VARIANTS[args.variant], args.json, texts)
     return 0 if ok else 1
 
 

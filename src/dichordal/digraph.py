@@ -244,29 +244,42 @@ def induced(d: Digraph, vertices: Iterable[int]) -> Digraph:
     """Subdigraph induced by `vertices`, relabelled by their sorted order.
 
     New vertex i corresponds to the i-th smallest member of `vertices`,
-    so the index remap is simply tuple(sorted(vertices)).
+    so the index remap is simply tuple(sorted(vertices)).  The kept
+    vertices fall into runs of consecutive labels; a run keeps its bit
+    order under the relabelling, so `_gather` moves each run with one
+    mask and one shift.
     """
     vs = sorted(set(vertices))
     if vs and not (0 <= vs[0] and vs[-1] < d.n):
         raise ValueError("induced set must be a subset of the vertex range")
-    rank = [0] * d.n  # rank[v]: the bit of old vertex v in the new masks
+    run = [None] * d.n  # run[v]: (span, drop) of the run of kept vertices holding v
     keep = 0
-    for i, v in enumerate(vs):
-        rank[v] = 1 << i
-        keep |= 1 << v
-    return _from_masks(_gather(d.out_masks, vs, keep, rank), _gather(d.in_masks, vs, keep, rank))
+    # v - i is constant exactly along a run of consecutive kept vertices:
+    # it is the run's drop, the shift that renumbers all of its bits
+    for drop, members in itertools.groupby(enumerate(vs), lambda iv: iv[1] - iv[0]):
+        first = next(members)[1]
+        last = first + sum(1 for _ in members)
+        span = ((2 << last) - 1) ^ ((1 << first) - 1)  # bits first..last
+        keep |= span
+        run[first:last + 1] = [(span, drop)] * (last + 1 - first)
+    return _from_masks(_gather(d.out_masks, vs, keep, run), _gather(d.in_masks, vs, keep, run))
 
 
-def _gather(masks, vs, keep, rank) -> tuple[int, ...]:
-    """masks[v] for each v in vs, restricted to `keep` and renumbered by rank."""
+def _gather(masks, vs, keep, run) -> tuple[int, ...]:
+    """masks[v] for each v in vs, restricted to `keep` and renumbered.
+
+    Run by run: the lowest set bit of what is left names a run of kept
+    vertices, and that run's bits move in one step.  A row costs one step
+    per run it meets, never more than one per set bit; when every vertex
+    is kept, a row is one step."""
     rows = []
     for v in vs:
         m = masks[v] & keep
         row = 0
         while m:
-            low = m & -m
-            row |= rank[low.bit_length() - 1]
-            m ^= low
+            span, drop = run[(m & -m).bit_length() - 1]
+            row |= (m & span) >> drop
+            m &= ~span
         rows.append(row)
     return tuple(rows)
 
@@ -479,7 +492,10 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
             fields = ln[1:].split(None, 1)
             if len(fields) != 2:
                 raise ValueError(f"malformed label line {ln!r}")
-            v = int(fields[0])
+            try:
+                v = int(fields[0])
+            except ValueError:
+                raise ValueError(f"malformed label line {ln!r}") from None
             if not 0 <= v < n:
                 raise ValueError(f"label line {ln!r} names vertex out of range")
             names[v] = fields[1]
@@ -487,7 +503,10 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
         fields = ln.split()
         if len(fields) != 2:
             raise ValueError(f"malformed arc line {ln!r}")
-        u, v = int(fields[0]), int(fields[1])
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"malformed arc line {ln!r}") from None
         arcs.append((u, v))
     if len(arcs) != m:
         raise ValueError(f"header promises {m} arcs, found {len(arcs)}")

@@ -200,9 +200,11 @@ def knotting_graph(d: Digraph) -> KnottingGraph:
 
 
 def group_max_degree(k: KnottingGraph, v: int) -> int:
-    """Largest degree among v's splitting classes (0 for an isolated vertex)."""
-    degrees = k.degrees()
-    return max(degrees[c.id] for c in k.group(v))
+    """Largest degree among v's splitting classes (0 for an isolated vertex).
+
+    By the degree identity, a class's degree is its number of member arcs,
+    so only v's own group is read."""
+    return max(len(c.members) for c in k.group(v))
 
 
 def lemma1_check(d: Digraph, v: int) -> bool:

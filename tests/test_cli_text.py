@@ -197,6 +197,13 @@ def test_inputs_cover_the_edge_cases():
         if _greedy(*_variant_masks(d, Variant.SEMI_STRICT))[1]
     ]
     assert len(no_with_stalled) >= 5
+    # `recognize --variant all` prints one block per distinct stalled set:
+    # some input has two variants stalling on one set, some on two sets
+    stalled_sets = [
+        [s for v in ALL_VARIANTS if (s := _greedy(*_variant_masks(d, v))[1])] for d, _ in INPUTS
+    ]
+    assert any(len(set(sets)) < len(sets) for sets in stalled_sets)
+    assert any(len(set(sets)) > 1 for sets in stalled_sets)
 
 
 @pytest.mark.parametrize("argv, ref", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])

@@ -171,6 +171,9 @@ def test_constructors_agree_random_up_to_n60():
         codes = ref_build_codes(n, list(d.arcs()))
         subsets = [[v for v in range(n) if rng.random() < p] for p in (0.2, 0.6, 0.95)]
         subsets.append([rng.randrange(n) for _ in range(n)] if n else [])
+        # run shapes of the kept set: one run of all, runs of one, an inner run, two ends
+        subsets += [list(range(n)), list(range(0, n, 2)), list(range(n // 3, 2 * n // 3))]
+        subsets.append(sorted({0, n - 1}) if n else [])
         check_constructors(n, codes, subsets)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dichordal import knotting
@@ -104,13 +106,31 @@ def test_knotting_graph_single_arc():
     assert len(k.classes) == 2 and len(k.edges) == 1
 
 
-def test_group_max_degree(ex1, ex2):
+def test_group_max_degree(ex1, ex2, monkeypatch):
     assert group_max_degree(knotting_graph(ex1), 3) == 3
     assert group_max_degree(knotting_graph(ex2), 0) == 1
     iso = knotting_graph(build(2, []))
     assert group_max_degree(iso, 0) == 0
     with pytest.raises(ValueError):
         group_max_degree(iso, 9)
+    # seeded random digraphs with digons and isolated vertices: the answer is
+    # the maximum over the full degree table, computed first
+    rng = random.Random(2019)
+    graphs = []
+    for _ in range(40):
+        weights = (rng.choice((1, 3, 6)), 1, 1, rng.choice((0, 1, 3)))
+        d = random_digraph(rng.randrange(1, 13), weights, seed=rng.randrange(10**6))
+        graphs.append((d, knotting_graph(d)))
+    assert any(not d.neighbor_mask(v) for d, _ in graphs for v in range(d.n))
+    assert any(any(d.digon_masks) for d, _ in graphs)
+    want = [[max(k.degrees()[c.id] for c in k.group(v)) for v in range(d.n)] for d, k in graphs]
+
+    def refuse(self):
+        raise AssertionError("degrees() called")
+
+    monkeypatch.setattr(knotting.KnottingGraph, "degrees", refuse)
+    for (d, k), row in zip(graphs, want):
+        assert [group_max_degree(k, v) for v in range(d.n)] == row
 
 
 def test_digon_arcs_can_share_both_classes():

@@ -9,7 +9,8 @@ tracer is only loaded, never installed.
 A binding can also resolve and still time nothing, when the code stops
 calling through it.  The `query` workload's spans on the knotting graph,
 the parser and the stalled-subdigraph printout are therefore wrapped the
-way the tracer wraps them, and `cli.main` must call each once per use.
+way the tracer wraps them, and `cli.main` must call each once per use;
+the printout is built once per distinct stalled set of a command.
 """
 
 import importlib.util
@@ -77,11 +78,26 @@ def test_knot_reaches_the_graph_and_the_parser_once(query_calls, capsys):
     assert query_calls == {"knotting_graph": 1, "parse_labeled": 1, "induced": 0, "serialize": 0}
 
 
-def test_each_no_verdict_prints_one_induced_copy(query_calls, capsys):
+def test_each_distinct_stalled_set_prints_one_induced_copy(query_calls, capsys):
     from dichordal.cli import main
 
-    # example1: chordal YES, semi-strict NO, strict NO
+    # example1: chordal YES, semi-strict and strict NO, both stalled on all four vertices
     assert main(["recognize", "--variant", "all", str(DATA / "example1.dg")]) == 1
     out = capsys.readouterr().out
     assert out.count(": NO\n") == 2 and out.count(": YES\n") == 1
+    assert query_calls == {"knotting_graph": 0, "parse_labeled": 1, "induced": 1, "serialize": 1}
+
+
+def test_variants_stalled_on_different_sets_print_two_copies(query_calls, capsys, tmp_path):
+    from dichordal import build, serialize
+    from dichordal.cli import main
+
+    # chordal and semi-strict stall on {1, 2, 3}, strict on all four vertices
+    path = tmp_path / "two_sets.dg"
+    path.write_text(serialize(build(4, [(0, 2), (0, 3), (1, 2), (2, 3), (3, 1)])))
+    assert main(["recognize", "--variant", "all", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count(": NO\n") == 3
+    assert out.count("stalled subdigraph on {1, 2, 3}:") == 2
+    assert out.count("stalled subdigraph on {0, 1, 2, 3}:") == 1
     assert query_calls == {"knotting_graph": 0, "parse_labeled": 1, "induced": 2, "serialize": 2}
