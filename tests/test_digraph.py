@@ -240,6 +240,13 @@ def test_labels_roundtrip(ex1):
     assert d == ex1 and parsed == names
 
 
+# a field that is no integer names its line, like the other format errors
+NAMED_LINE = {
+    "2 1\n0 x\n": "malformed arc line '0 x'",
+    "2 0\n# x name\n": "malformed label line '# x name'",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -250,8 +257,7 @@ def test_labels_roundtrip(ex1):
         "2 1\n0 5\n",  # out of range
         "2 1\n0 1 2\n",  # malformed arc line
         "2 0\n# 7 z\n",  # label out of range
-        "2 1\n0 x\n",  # arc field that is no integer
-        "2 0\n# x name\n",  # label vertex that is no integer
+        *NAMED_LINE,  # an arc field or a label vertex that is no integer
     ],
 )
 def test_parse_rejects_malformed(text):
@@ -259,13 +265,6 @@ def test_parse_rejects_malformed(text):
         parse(text)
     if text in NAMED_LINE:
         assert str(exc.value) == NAMED_LINE[text]
-
-
-# a field that is no integer names its line, like the other format errors
-NAMED_LINE = {
-    "2 1\n0 x\n": "malformed arc line '0 x'",
-    "2 0\n# x name\n": "malformed label line '# x name'",
-}
 
 
 def test_parse_skips_blank_lines_and_strips_each_line():

@@ -1,10 +1,10 @@
 """`recognize --variant all` on every input of the benchmark's query pool.
 
 `perfbench/golden.json` records the stdout digest and exit code of every
-command the `query` workload can run.  The `recognize` commands include
-NO verdicts on digon paths and random digraphs up to 500 vertices, with
-large stalled subdigraphs, which the labelled inputs of `test_cli_text`
-do not reach.  Each one must reproduce its recorded digest and exit code.
+command the `query` workload can run.  The `recognize` commands run on
+digon paths up to 500 vertices and print NO verdicts on random digraphs
+up to 200 vertices, with large stalled subdigraphs, which the labelled
+inputs of `test_cli_text` do not reach.  Each one must reproduce its recorded digest and exit code.
 The pool and the digest come from `perfbench/workloads.py`, which is only
 loaded here; nothing under `perfbench/` is written.
 """
