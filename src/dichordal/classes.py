@@ -66,16 +66,20 @@ def is_locally_semicomplete(d: Digraph) -> bool:
 
 
 def _wqt_violation(d: Digraph) -> Optional[tuple[int, int, int]]:
-    # (u, v, w): u and w are asynchronous neighbours of v yet non-adjacent
+    # (u, v, w): u and w are asynchronous neighbours of v yet non-adjacent.
+    # u's cell is the set of v's neighbours joined to v as u is (in-only,
+    # out-only or digon); w is the lowest neighbour of v outside that cell
+    # and not adjacent to u.  It lies above u: the relation is symmetric,
+    # and u is the first vertex that has such a w.
+    out, inn = d.out_masks, d.in_masks
     for v in range(d.n):
-        nb = list(bits(d.neighbor_mask(v)))
-        for i, u in enumerate(nb):
-            cu = (d.has_arc(u, v), d.has_arc(v, u))
-            for w in nb[i + 1 :]:
-                if d.adjacent(u, w):
-                    continue
-                if cu != (d.has_arc(w, v), d.has_arc(v, w)):
-                    return (u, v, w)
+        ins, outs = inn[v], out[v]
+        nb = ins | outs
+        for u in bits(nb):
+            cell = (ins if ins >> u & 1 else ~ins) & (outs if outs >> u & 1 else ~outs)
+            ws = nb & ~cell & ~(out[u] | inn[u])
+            if ws:
+                return (u, v, (ws & -ws).bit_length() - 1)
     return None
 
 
@@ -84,11 +88,13 @@ def is_weakly_quasi_transitive(d: Digraph) -> bool:
 
 
 def _qt_violation(d: Digraph) -> Optional[tuple[int, int, int]]:
+    # (u, v, w): u -> v -> w with u != w non-adjacent; lowest u, then lowest w
+    out, inn = d.out_masks, d.in_masks
     for v in range(d.n):
-        for u in bits(d.in_masks[v]):
-            for w in bits(d.out_masks[v]):
-                if u != w and not d.adjacent(u, w):
-                    return (u, v, w)
+        for u in bits(inn[v]):
+            ws = out[v] & ~(out[u] | inn[u] | 1 << u)
+            if ws:
+                return (u, v, (ws & -ws).bit_length() - 1)
     return None
 
 
@@ -98,16 +104,17 @@ def is_quasi_transitive(d: Digraph) -> bool:
 
 def _ext_semicomplete_violation(d: Digraph) -> Optional[tuple[int, int]]:
     # quotient by "non-adjacent with identical neighbourhoods"; the digraph is
-    # extended semicomplete iff every non-adjacent pair is equivalent
-    for v in range(d.n):
-        for w in range(v + 1, d.n):
-            if d.adjacent(v, w):
-                continue
-            if (
-                d.in_masks[v] != d.in_masks[w]
-                or d.out_masks[v] != d.out_masks[w]
-            ):
-                return (v, w)
+    # extended semicomplete iff every non-adjacent pair is equivalent.  The
+    # first v with a non-adjacent non-twin has none below it (symmetry).
+    out, inn = d.out_masks, d.in_masks
+    twins: dict[tuple[int, int], int] = {}  # (in, out) masks -> the vertices that have them
+    for v, key in enumerate(zip(inn, out)):
+        twins[key] = twins.get(key, 0) | 1 << v
+    full = (1 << d.n) - 1
+    for v, key in enumerate(zip(inn, out)):
+        ws = full & ~(out[v] | inn[v] | twins[key])
+        if ws:
+            return (v, (ws & -ws).bit_length() - 1)
     return None
 
 

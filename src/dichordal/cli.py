@@ -23,6 +23,7 @@ from .chordality import stalled_subdigraph  # noqa: F401  -- perfbench's tracer 
 from .classes import _FLAG_CHECKS, classify, generate_locally_semicomplete, generate_wqt
 from .digraph import (
     Digraph,
+    _labels,
     bits,
     dot_chunks,
     enumerate_digraphs,
@@ -38,17 +39,14 @@ from .verify import CHECKS, _check_samples
 _VARIANTS = {v.value: v for v in Variant}
 
 
-def _read_digraph(path: str) -> tuple[Digraph, dict[int, str]]:
+def _read_digraph(path: str) -> tuple[Digraph, dict[int, str], list[str]]:
+    """The digraph, its vertex names and each vertex's printed label."""
     if path == "-":
         text = sys.stdin.read()
     else:
         text = Path(path).read_text()
-    return parse_labeled(text)
-
-
-def _labels(d: Digraph, names: dict[int, str]) -> list[str]:
-    """Each vertex's printed label: its name, else its number."""
-    return [names.get(v, str(v)) for v in range(d.n)]
+    d, names = parse_labeled(text)
+    return d, names, _labels(d.n, names)
 
 
 _CHUNK = 1024  # lines per write
@@ -111,22 +109,17 @@ def _variant_verdict(
 
 
 def cmd_recognize(args) -> int:
-    d, names = _read_digraph(args.input)
-    labels = _labels(d, names)
+    d, _, labels = _read_digraph(args.input)
     texts: dict[int, str] = {}  # stalled-subdigraph blocks of this command, by stalled mask
-    if args.variant == "all":
-        results = {
-            v: _variant_verdict(d, labels, v, args.json, texts)
-            for v in (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
-        }
-        return 0 if results[Variant.SEMI_STRICT] else 1
-    ok = _variant_verdict(d, labels, _VARIANTS[args.variant], args.json, texts)
-    return 0 if ok else 1
+    every = args.variant == "all"
+    decides = Variant.SEMI_STRICT if every else _VARIANTS[args.variant]  # sets the exit code
+    variants = (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT) if every else (decides,)
+    chordal = {v: _variant_verdict(d, labels, v, args.json, texts) for v in variants}
+    return 0 if chordal[decides] else 1
 
 
 def cmd_order(args) -> int:
-    d, names = _read_digraph(args.input)
-    labels = _labels(d, names)
+    d, _, labels = _read_digraph(args.input)
     ordering = elimination_ordering(d, _VARIANTS[args.variant])
     if args.json:
         print(json.dumps(list(ordering.order) if ordering else None))
@@ -139,7 +132,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_knot(args) -> int:
-    d, names = _read_digraph(args.input)
+    d, names, labels = _read_digraph(args.input)
     k = knotting.knotting_graph(d)
     if args.dot:
         sys.stdout.write(knotting.to_dot(k, names))
@@ -158,7 +151,6 @@ def cmd_knot(args) -> int:
         }
         print(json.dumps(out, indent=2))
         return 0
-    labels = _labels(d, names)
     class_name = {c.id: f"{labels[c.owner]}^{c.index}" for c in k.classes}
 
     def members(c: knotting.SplittingClass) -> str:
@@ -179,8 +171,7 @@ def cmd_knot(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    d, names = _read_digraph(args.input)
-    labels = _labels(d, names)
+    d, _, labels = _read_digraph(args.input)
     report = classify(d)
     if args.json:
         print(
@@ -205,32 +196,24 @@ def cmd_classify(args) -> int:
 
 
 def cmd_forbidden(args) -> int:
-    d, names = _read_digraph(args.input)
-    labels = _labels(d, names)
-    matches = []
-    hit = find_any_fig1(d)
-    if hit is not None:
-        matches.append(("pattern", hit.name, list(hit.mapping)))
-    lol = find_lollipop(d)
-    if lol is not None:
-        matches.append(("pattern", lol.name, list(lol.mapping)))
+    d, _, labels = _read_digraph(args.input)
+    hits = []  # one (JSON record, text line) pair per hit, in detector order
+    for emb in (find_any_fig1(d), find_lollipop(d)):
+        if emb is not None:
+            verts = list(emb.mapping)
+            assigns = ", ".join([f"t{t}→h{labels[h]}" for t, h in enumerate(verts)])
+            hits.append(({"kind": "pattern", "name": emb.name, "vertices": verts},
+                         f"{emb.name}: {assigns}"))
     cyc = find_nonsym_induced_dicycle(d)
     if cyc is not None:
-        matches.append(("dicycle", f"dicycle{len(cyc)}", list(cyc)))
-    if args.json:
-        for kind, name, verts in matches:
-            print(json.dumps({"kind": kind, "name": name, "vertices": verts}))
-        return 1 if matches else 0
-    if not matches:
+        verts, name = list(cyc), f"dicycle{len(cyc)}"
+        hits.append(({"kind": "dicycle", "name": name, "vertices": verts},
+                     f"{name}: " + "→".join([labels[v] for v in verts + verts[:1]])))
+    for record, text in hits:
+        print(json.dumps(record) if args.json else text)
+    if not hits and not args.json:
         print("none")
-        return 0
-    for kind, name, verts in matches:
-        if kind == "pattern":
-            assigns = ", ".join([f"t{t}→h{labels[h]}" for t, h in enumerate(verts)])
-            print(f"{name}: {assigns}")
-        else:
-            print(f"{name}: " + "→".join([labels[v] for v in verts + verts[:1]]))
-    return 1
+    return 1 if hits else 0
 
 
 # -- verify -------------------------------------------------------------------------
@@ -243,28 +226,17 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards < 1 or args.workers < 1:
-        raise ValueError("--shards and --workers must be at least 1")
+    given = {}  # the check's own default applies unless --samples is given
     if args.samples is not None:
-        _check_samples(args.samples)
-    kwargs = {"shards": args.shards, "workers": args.workers}
-    if args.check == "recognizers":
-        kwargs.update(n=args.n, samples=args.samples, seed=args.seed)
-    elif args.check == "theorem4":
-        kwargs.update(n=args.n)
-    elif args.check == "theorem5":
-        kwargs.update(
-            n_exhaustive=args.n,
-            n_random=args.n_random,
-            samples=args.samples or 0,
-            seed=args.seed,
-        )
-    elif args.check == "nesting":
-        kwargs.update(n=args.n)
-    else:  # knotting-deletion
-        samples = 1000 if args.samples is None else args.samples
-        kwargs.update(n=args.n, samples=samples, seed=args.seed)
-    report = CHECKS[args.check](**kwargs)
+        _check_samples(args.samples)  # also for theorem4 and nesting, which take none
+        given["samples"] = args.samples
+    if args.check == "theorem5":
+        kwargs = {"n_exhaustive": args.n, "n_random": args.n_random, "seed": args.seed, **given}
+    elif args.check in ("theorem4", "nesting"):
+        kwargs = {"n": args.n}
+    else:  # recognizers, knotting-deletion
+        kwargs = {"n": args.n, "seed": args.seed, **given}
+    report = CHECKS[args.check](**kwargs, shards=args.shards, workers=args.workers)
     if args.json:
         sys.stdout.write(report.to_json(timing=args.timing))
     else:

@@ -513,6 +513,12 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
     return build(n, arcs), names  # build() re-validates range and loops
 
 
+def _labels(n: int, names: Mapping[int, str] | None) -> list[str]:
+    """Each vertex's printed label: its name, else its number."""
+    names = names or {}
+    return [names.get(v, str(v)) for v in range(n)]
+
+
 def dot_quote(text: str) -> str:
     """Escape `text` for use inside a double-quoted DOT string."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
@@ -522,12 +528,9 @@ def dot_chunks(d: Digraph, names: Mapping[int, str] | None = None) -> Iterator[s
     """The text of to_dot(d, names) in pieces: the header, the node lines,
     one chunk of edge lines per column j (pairs i < j, in slot order), then
     the closing brace.  A digon becomes one edge with dir=both."""
-
-    def label(v: int) -> str:
-        return dot_quote(names[v] if names and v in names else str(v))
-
     yield "digraph D {\n"
-    yield "".join([f'  {v} [label="{label(v)}"];\n' for v in range(d.n)])
+    labels = _labels(d.n, names)
+    yield "".join([f'  {v} [label="{dot_quote(labels[v])}"];\n' for v in range(d.n)])
     for j in range(1, d.n):
         to_j, from_j = d.in_masks[j], d.out_masks[j]
         lines = []

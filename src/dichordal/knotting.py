@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .chordality import ORACLE_MAX_N
-from .digraph import Digraph, bits, dot_quote
+from .digraph import Digraph, _labels, bits, dot_quote
 from .digraph import induced  # noqa: F401  -- perfbench's tracer binds this name
 
 Arc = tuple[int, int]
@@ -268,9 +268,7 @@ def to_dot(
     k: KnottingGraph, names: Mapping[int, str] | None = None
 ) -> str:
     """DOT export: one node per splitting class, groups clustered, edges undirected."""
-
-    def vname(v: int) -> str:
-        return dot_quote(names[v] if names and v in names else str(v))
+    labels = [dot_quote(x) for x in _labels(k.n, names)]
 
     def node(cid: ClassId) -> str:
         return f"c{cid[0]}_{cid[1]}"
@@ -278,9 +276,9 @@ def to_dot(
     lines = ["graph K {"]
     for v in range(k.n):
         lines.append(f"  subgraph cluster_{v} {{")
-        lines.append(f'    label="{vname(v)}";')
+        lines.append(f'    label="{labels[v]}";')
         for cls in k.group(v):
-            lines.append(f'    {node(cls.id)} [label="{vname(v)}^{cls.index}"];')
+            lines.append(f'    {node(cls.id)} [label="{labels[v]}^{cls.index}"];')
         lines.append("  }")
     for e in k.edges:
         lines.append(f"  {node(e.a)} -- {node(e.b)};")

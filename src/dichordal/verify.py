@@ -9,7 +9,9 @@ text/JSON output for the same reason.
 
 One function, `_check`, splits each job into at most `shards` non-empty
 ranges, runs them serially or in a process pool and merges the parts,
-keeping the first ten counterexamples in order.  The table scans split
+keeping the first ten counterexamples in order.  It rejects a shard count
+below 1 before it looks at the jobs (a check may have none), and
+`_pool_size` a worker count below 1, before anything runs.  The table scans split
 only between extension blocks, so a shard count above the number of
 instances (or blocks) costs nothing extra.  A job runs one of two workers:
 
@@ -151,9 +153,7 @@ def _split_range(total: int, shards: int, unit: int = 1) -> list[tuple[int, int]
     """Split [0, total) into at most `shards` non-empty contiguous ranges, as
     even as whole `unit`s allow: every boundary but the end is a multiple of
     `unit`.  So there are at most ceil(total / unit) ranges, whatever the
-    shard count."""
-    if shards < 1:
-        raise ValueError("shard count must be positive")
+    shard count (`_check` has already rejected a count below 1)."""
     units = -(-total // unit)
     pieces = min(shards, units)
     base, extra = divmod(units, pieces) if pieces else (0, 0)
@@ -195,6 +195,8 @@ def _check(
     """Run each job over at most `shards` non-empty contiguous ranges of its
     instances (`_split_range`); `worker(*args, start, stop)` returns (total,
     filtered, passed, counterexamples), merged in job and range order."""
+    if shards < 1:
+        raise ValueError("shard count must be positive")
     _check_samples(params.get("samples", 0))
     started = time.perf_counter()
     parts = [
@@ -495,14 +497,14 @@ def _deletion_derived_mismatch(d: Digraph, v: int) -> Optional[str]:
 
 
 def probe_knotting_deletion(
-    n: int, samples: int, seed: int = 0, shards: int = 1, workers: int = 1
+    n: int, samples: int = 1000, seed: int = 0, shards: int = 1, workers: int = 1
 ) -> VerificationReport:
     """Probe (not assert) whether deleting a vertex's splitting vertices from
     the knotting graph reproduces the recomputed knotting graph of D - v.
 
     Counterexamples here are findings, not failures; the report is
-    informational.  The sampled digraphs have 2..n vertices, so n < 2 is
-    a ValueError.
+    informational.  The `samples` digraphs (1,000 unless given) have 2..n
+    vertices, so n < 2 is a ValueError.
     """
     if n < 2:
         raise ValueError(f"knotting-deletion probe needs n >= 2, got n={n}")

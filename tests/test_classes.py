@@ -1,9 +1,13 @@
 import itertools
+import time
 
 import pytest
 
 from dichordal.classes import (
+    _ext_semicomplete_violation,
+    _qt_violation,
     _semicomplete_violation,
+    _wqt_violation,
     classify,
     generate_locally_semicomplete,
     generate_wqt,
@@ -17,6 +21,7 @@ from dichordal.classes import (
     is_weakly_quasi_transitive,
 )
 from dichordal.digraph import (
+    bits,
     build,
     enumerate_digraphs,
     pair_slots,
@@ -229,3 +234,84 @@ def test_substitution_closure_is_exactly_wqt_up_to_n4():
                             reps[cf] = out
                             changed = True
     assert set(reps) == target
+
+
+# -- the mask scans against the per-triple loops they replaced -------------------
+#
+# The references are the scans as they stood before they read the masks:
+# one has_arc/adjacent test per triple (per pair for extended
+# semicomplete).  The mask scans must return exactly their first witness.
+
+
+def ref_wqt_violation(d):
+    for v in range(d.n):
+        nb = list(bits(d.neighbor_mask(v)))
+        for i, u in enumerate(nb):
+            cu = (d.has_arc(u, v), d.has_arc(v, u))
+            for w in nb[i + 1 :]:
+                if d.adjacent(u, w):
+                    continue
+                if cu != (d.has_arc(w, v), d.has_arc(v, w)):
+                    return (u, v, w)
+    return None
+
+
+def ref_qt_violation(d):
+    for v in range(d.n):
+        for u in bits(d.in_masks[v]):
+            for w in bits(d.out_masks[v]):
+                if u != w and not d.adjacent(u, w):
+                    return (u, v, w)
+    return None
+
+
+def ref_ext_semicomplete_violation(d):
+    for v in range(d.n):
+        for w in range(v + 1, d.n):
+            if d.adjacent(v, w):
+                continue
+            if d.in_masks[v] != d.in_masks[w] or d.out_masks[v] != d.out_masks[w]:
+                return (v, w)
+    return None
+
+
+MASK_SCANS = [
+    (_wqt_violation, ref_wqt_violation),
+    (_qt_violation, ref_qt_violation),
+    (_ext_semicomplete_violation, ref_ext_semicomplete_violation),
+]
+
+
+def assert_same_witnesses(cases):
+    for d in cases:
+        for scan, ref in MASK_SCANS:
+            assert scan(d) == ref(d), (scan.__name__, serialize(d))
+
+
+def test_mask_scans_match_the_loops_exhaustively():
+    assert_same_witnesses(d for n in range(5) for d in enumerate_digraphs(n))
+
+
+def test_mask_scans_match_the_loops_seeded():
+    weights = [(1, 1, 1, 1), (1, 4, 4, 8), (4, 1, 1, 1), (1, 2, 2, 0), (1, 8, 8, 16)]
+    assert_same_witnesses(
+        random_digraph(2 + s % 39, weights[s % 5], seed=s) for s in range(5000)
+    )
+
+
+def test_mask_scans_match_the_loops_on_generated_members():
+    # mostly members, so the references walk every triple
+    cases = [generate_wqt(s, depth=3, width=3) for s in range(300)]
+    cases += [generate_locally_semicomplete(s, 2 + s % 20) for s in range(300)]
+    assert sum(ref_wqt_violation(d) is None for d in cases) >= 300
+    assert_same_witnesses(cases)
+
+
+def test_classify_scales_on_a_transitive_tournament():
+    # scans with one test per triple take about 66 s here
+    n = 600
+    d = build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    start = time.perf_counter()
+    report = classify(d)
+    assert time.perf_counter() - start < 10.0  # test_forbidden_scales's bound
+    assert report.witnesses == {"symmetric": (0, 1)}  # every other flag holds

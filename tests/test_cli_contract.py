@@ -49,6 +49,19 @@ def test_verify_rejects_nonpositive_parallelism(capsys, flag, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("flag", ["shards", "workers"])
+def test_every_check_rejects_nonpositive_parallelism(capsys, check, flag):
+    # theorem5 at orders 0..0 has no jobs, and still rejects the count
+    message = f"{flag[:-1]} count must be positive"
+    kwargs = {"n_exhaustive": 0, "n_random": 0} if check == "theorem5" else {"n": 2}
+    with pytest.raises(ValueError, match=message):
+        CHECKS[check](**kwargs, **{flag: 0})
+    n = "0" if check == "theorem5" else "2"
+    argv = ["verify", "--check", check, "--n", n, "--n-random", "0", f"--{flag}", "0"]
+    assert _rejected(capsys, argv) == f"error: {message}\n"
+
+
 def test_pool_size_clamps_without_starting_processes(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert verify._pool_size(1000, 8) == 4
@@ -159,6 +172,13 @@ def test_verify_rejects_negative_samples(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: sample count must be non-negative")
+
+
+def test_deletion_probe_defaults_to_1000_samples(capsys):
+    assert main(["verify", "--check", "knotting-deletion", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == "params: n=3 samples=1000 seed=0"
+    assert out == verify.probe_knotting_deletion(3).to_text()
 
 
 def test_verify_keeps_an_explicit_zero_sample_count(capsys):

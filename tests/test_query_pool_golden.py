@@ -1,10 +1,11 @@
-"""`recognize --variant all` on every input of the benchmark's query pool.
+"""Every command of the benchmark's query pool against its golden digest.
 
 `perfbench/golden.json` records the stdout digest and exit code of every
 command the `query` workload can run.  The `recognize` commands run on
 digon paths up to 500 vertices and print NO verdicts on random digraphs
 up to 200 vertices, with large stalled subdigraphs, which the labelled
 inputs of `test_cli_text` do not reach.  Each one must reproduce its recorded digest and exit code.
+The second test runs every pool command, `knot` and `forbidden` included.
 The pool and the digest come from `perfbench/workloads.py`, which is only
 loaded here; nothing under `perfbench/` is written.
 """
@@ -39,4 +40,26 @@ def test_recognize_matches_the_golden_digests(tmp_path, monkeypatch):
         res = wl.run_command(cli.main, wl.COMMANDS["recognize"] + [str(path)])
         if [res.digest, res.rc] != golden[input_id]["recognize"]:
             wrong.append((input_id, res.rc, res.error))
+    assert not wrong
+
+
+def test_every_pool_command_matches_its_golden_digest(tmp_path, monkeypatch):
+    # `knot` and `forbidden` as well: every command any seed can draw
+    wl = _workloads(monkeypatch)
+    golden = wl.load_golden()["commands"]
+    commands = {
+        (input_id, cmd)
+        for input_id in wl.pool_inputs(wl.wqt_pool())
+        for cmd in wl.commands_for(input_id)
+    }
+    assert commands == {(i, cmd) for i, cmds in golden.items() for cmd in cmds}
+    assert len(commands) == 412
+    wrong = []
+    for input_id, cmd in sorted(commands):
+        path = tmp_path / f"{input_id}.dg"
+        if not path.exists():
+            path.write_text(serialize(wl.make_digraph(input_id)))
+        res = wl.run_command(cli.main, wl.COMMANDS[cmd] + [str(path)])
+        if [res.digest, res.rc] != golden[input_id][cmd]:
+            wrong.append((input_id, cmd, res.rc, res.error))
     assert not wrong
