@@ -9,13 +9,15 @@ Pair codes are derived from the masks.  Every unordered pair {i, j}
 i->j, 2 = arc j->i, 3 = digon (both arcs).  Pairs are ordered
 (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),... so a digraph on n vertices is a
 base-4 number with n(n-1)/2 digits, and exhaustive enumeration is a
-counter in that unchanged order.  `d.codes` is computed on first use and
-cached, so a large digraph never asked for its codes never holds them.
+counter in that unchanged order.  A Digraph holds only its masks:
+`d.codes` is derived from them on each read and not kept, so a large
+digraph never holds its n(n-1)/2 codes.
 
 A Digraph is made from whatever its producer already holds:
 
 - pair codes in slot order, each in 0..3: `Digraph(n, codes)`
-  (enumeration, generators that draw one code per pair); they are kept;
+  (enumeration, generators that draw one code per pair), which decodes
+  them into masks and drops them;
 - out-neighbourhood masks: `from_out_masks(out)` (generators that grow
   out-masks only, `substitute`);
 - arcs from outside, such as a parsed file, a literal or a caller of the
@@ -24,7 +26,7 @@ A Digraph is made from whatever its producer already holds:
 Those two, `induced`, `symmetric_subdigraph` and the locally semicomplete
 generator (`classes.generate_locally_semicomplete`, which grows the in-
 and out-masks together) write masks straight into the one private mask
-constructor, `_from_masks`, without any codes.
+constructor, `_from_masks`.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def bits(mask: int) -> Iterator[int]:
 class Digraph:
     """Immutable digraph on vertices 0..n-1 without loops or multi-arcs."""
 
-    __slots__ = ("n", "out_masks", "in_masks", "digon_masks", "_codes")
+    __slots__ = ("n", "out_masks", "in_masks", "digon_masks")
 
     def __init__(self, n: int, codes: Sequence[int]):
         if n < 0:
@@ -96,26 +98,23 @@ class Digraph:
             out[j] = from_j
             inn[j] = to_j
             s += j
-        self._set(tuple(out), tuple(inn), codes)
+        self._set(tuple(out), tuple(inn))
 
-    def _set(self, out: tuple[int, ...], inn: tuple[int, ...], codes) -> None:
+    def _set(self, out: tuple[int, ...], inn: tuple[int, ...]) -> None:
         self.n = len(out)
         self.out_masks = out
         self.in_masks = inn
         self.digon_masks = tuple(a & b for a, b in zip(out, inn))
-        self._codes = codes
 
     @property
     def codes(self) -> tuple[int, ...]:
-        """Pair codes in slot order, derived from the masks on first use."""
-        if self._codes is None:
-            out, inn = self.out_masks, self.in_masks
-            self._codes = tuple(
-                (inn[j] >> i & 1) | (out[j] >> i & 1) << 1
-                for j in range(1, self.n)
-                for i in range(j)
-            )
-        return self._codes
+        """Pair codes in slot order, derived from the masks on each read."""
+        out, inn = self.out_masks, self.in_masks
+        return tuple(
+            (inn[j] >> i & 1) | (out[j] >> i & 1) << 1
+            for j in range(1, self.n)
+            for i in range(j)
+        )
 
     # -- structural equality ------------------------------------------------
 
@@ -174,11 +173,9 @@ class Digraph:
 
 
 def _from_masks(out: tuple[int, ...], inn: tuple[int, ...]) -> Digraph:
-    """The one mask constructor: `inn` must be the transpose of `out`.
-
-    The pair codes are left to be derived on first use."""
+    """The one mask constructor: `inn` must be the transpose of `out`."""
     d = Digraph.__new__(Digraph)
-    d._set(out, inn, None)
+    d._set(out, inn)
     return d
 
 
@@ -284,14 +281,17 @@ def _gather(masks, vs, keep, run) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def substitute(d: Digraph, parts: Sequence[Digraph] | Mapping[int, Digraph]) -> Digraph:
+def substitute(d: Digraph, parts: Sequence[Digraph]) -> Digraph:
     """Replace each vertex v of d by the digraph parts[v].
 
     Inside a part, arcs are the part's own; between the parts for u and v,
     every cross pair gets an arc x->y exactly when d has the arc u->v.
-    Every part must be nonempty.
+    There must be exactly one part per vertex of d, and every part must be
+    nonempty; otherwise ValueError.
     """
-    blocks = [parts[v] for v in range(d.n)]
+    blocks = list(parts)
+    if len(blocks) != d.n:
+        raise ValueError(f"expected {d.n} substitution parts, got {len(blocks)}")
     if any(p.n == 0 for p in blocks):
         raise ValueError("substitution parts must be nonempty")
     offsets = [0] * d.n
@@ -436,8 +436,8 @@ def random_digraph(
 
 # Largest vertex count parse() and the generators accept.  The
 # representation is dense -- n masks of n bits, and n(n-1)/2 pair codes
-# once asked for -- so a header or a size option must not be able to ask
-# for billions of bits.
+# on each read of `codes` -- so a header or a size option must not be
+# able to ask for billions of bits.
 MAX_VERTICES = 4096
 
 

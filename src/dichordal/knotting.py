@@ -7,9 +7,11 @@ by a digon; classes are the connected components of that relation.  The
 knotting graph has one node per splitting class and one edge per arc of
 the digraph, joining the two classes that contain the arc.
 
-Edges are keyed by their arc.  Two arcs of a digon can land in the same
-pair of classes, which makes the knotting graph a multigraph; keeping the
-arc on the edge preserves the one-to-one arc/edge correspondence.
+Each edge carries its arc, and the edges follow `d.arcs()` order.  Two
+arcs of a digon can land in the same pair of classes, which makes the
+knotting graph a multigraph; keeping the arc on the edge preserves the
+one-to-one arc/edge correspondence.  The graph keeps no arc-to-edge map:
+a caller that needs one builds `{e.arc: e for e in k.edges}`.
 
 A vertex is semi-strict di-simplicial exactly when all of its splitting
 classes have degree at most one, which yields a second recognition route
@@ -24,9 +26,9 @@ expands each arc once finds every class in O(deg) mask operations.
 
 `knotting_graph` reads each vertex's class masks once.  While it builds
 a class, it records the class's id under the far end of each member arc,
-in-arcs and out-arcs apart; arc (u, w) then becomes the edge from
-u's class of out-arc w to w's class of in-arc u, with no second walk over
-the member sets.
+in-arcs and out-arcs apart; each arc (u, w) of `d.arcs()` then becomes
+the edge from u's class of out-arc w to w's class of in-arc u, with no
+second walk over the member sets.
 
 The same routine evaluates v inside any induced subdigraph D[S] without
 building it: restrict in(v) and out(v) to S.  That is exact because
@@ -79,7 +81,6 @@ class KnottingGraph:
     n: int
     classes: tuple[SplittingClass, ...]
     edges: tuple[KnottingEdge, ...]
-    arc_to_edge: Mapping[Arc, KnottingEdge] = field(compare=False)
     # groups[v] is v's splitting group; derived from `classes`
     groups: tuple[tuple[SplittingClass, ...], ...] = field(compare=False, repr=False)
 
@@ -187,14 +188,10 @@ def knotting_graph(d: Digraph) -> KnottingGraph:
     in_id: list[dict[int, ClassId]] = [{} for _ in range(d.n)]
     out_id: list[dict[int, ClassId]] = [{} for _ in range(d.n)]
     groups = tuple(_group(d, v, in_id[v], out_id[v]) for v in range(d.n))
-    edges = []
-    for u, outs in enumerate(out_id):  # keys: u's out-neighbours, sorted as in d.arcs()
-        edges += [KnottingEdge((u, w), cid, in_id[w][u]) for w, cid in sorted(outs.items())]
     return KnottingGraph(
         n=d.n,
         classes=tuple(cls for group in groups for cls in group),
-        edges=tuple(edges),
-        arc_to_edge={e.arc: e for e in edges},
+        edges=tuple(KnottingEdge((u, w), out_id[u][w], in_id[w][u]) for u, w in d.arcs()),
         groups=groups,
     )
 

@@ -18,20 +18,22 @@ semi-strict chordality inside the weakly quasi-transitive and locally
 semicomplete classes.
 
 All three detectors search neighbourhood bitmasks, computed once per
-digraph: the non-symmetric out-neighbours (out & ~digon), the
-non-symmetric in-neighbours, both together, the digon partners, the
-neighbours and the non-neighbours.  Each constraint picks one of these
-rows.
+digraph: the non-neighbours, the non-symmetric out-neighbours (out &
+~digon), the non-symmetric in-neighbours, both together, the digon
+partners and the neighbours.  That is the order of EdgeConstraint, and
+each constraint picks the row at its own position.
 
 * `find_induced` maps template vertices 0, 1, ... in turn.  The
   candidates for vertex i are `base[i] & ~used & AND_{p<i}
   row[p][mapping[p]]`, where row[p] is the row of the constraint on
   (p, i), and `base[i]` holds the hosts whose non-symmetric in-, out- and
-  total degrees, digon degree and degree reach what vertex i needs (a
-  digon counts toward neither non-symmetric degree).  The template
-  vertices below the first one that i must touch all need a non-neighbour,
-  so their rows are one mask: the complement of their hosts' joint
-  neighbourhood (a lollipop path vertex checks one row, not k).
+  total degrees, digon degree and degree reach what vertex i needs.  A
+  partner counts toward every row that allows all the kinds its
+  constraint allows, seen from i (so a digon counts toward neither
+  non-symmetric degree).  The template vertices below the first one that
+  i must touch all need a non-neighbour, so their rows are one mask: the
+  complement of their hosts' joint neighbourhood (a lollipop path vertex
+  checks one row, not k).
   Candidates are taken in ascending order, and the masks and bases only
   drop hosts that fail a constraint, so the first embedding found is the
   lexicographically smallest one, as with a plain loop over the hosts.
@@ -111,13 +113,14 @@ class PatternTemplate:
         for (i, j), con in self.constraints.items():
             if con is EdgeConstraint.NON_ADJACENT:
                 continue
-            for r in _COUNTS[con]:
+            kinds = _ALLOWED_KINDS[con]
+            for r in _degree_rows(kinds):
                 need[i][r - 1] += 1
-            for r in _COUNTS[_SEEN_FROM_J.get(con, con)]:
+            for r in _degree_rows([_far_end(x) for x in kinds]):
                 need[j][r - 1] += 1
             cut[j] = min(cut[j], i)
         checks = [
-            tuple((p, _ROW[self.constraint(p, i)]) for p in range(cut[i], i))
+            tuple((p, _ROWS.index(self.constraint(p, i))) for p in range(cut[i], i))
             for i in range(self.k)
         ]
         return [tuple(x) for x in need], cut, checks
@@ -216,30 +219,22 @@ def expand_template(t: PatternTemplate) -> list[Digraph]:
     return [Digraph(t.k, codes) for codes in itertools.product(*options)]
 
 
-# The six host masks a constraint can ask for, as rows of _Masks.rows:
-# row[u] is the set of hosts h whose pair with u, seen from u, meets it.
-_NON_NBR, _NS_OUT, _NS_IN, _NS, _DIGON, _NBR = range(6)
-_ROW = {
-    EdgeConstraint.NON_ADJACENT: _NON_NBR,
-    EdgeConstraint.ARC_FORWARD: _NS_OUT,
-    EdgeConstraint.ARC_BACKWARD: _NS_IN,
-    EdgeConstraint.NONSYM_EITHER: _NS,
-    EdgeConstraint.DIGON: _DIGON,
-    EdgeConstraint.ANY_ADJACENT: _NBR,
-}
-# rows 1..5 whose degree a partner under each constraint counts toward
-_COUNTS = {
-    EdgeConstraint.ARC_FORWARD: (_NS_OUT, _NS, _NBR),
-    EdgeConstraint.ARC_BACKWARD: (_NS_IN, _NS, _NBR),
-    EdgeConstraint.NONSYM_EITHER: (_NS, _NBR),
-    EdgeConstraint.DIGON: (_DIGON, _NBR),
-    EdgeConstraint.ANY_ADJACENT: (_NBR,),
-}
-# a constraint on the pair (i, j), seen from j
-_SEEN_FROM_J = {
-    EdgeConstraint.ARC_FORWARD: EdgeConstraint.ARC_BACKWARD,
-    EdgeConstraint.ARC_BACKWARD: EdgeConstraint.ARC_FORWARD,
-}
+# A constraint's host row is its position in EdgeConstraint, which is also
+# the order of _Masks.rows: row[u] is the set of hosts h whose pair with u,
+# seen from u, meets it.
+_ROWS = tuple(EdgeConstraint)
+_, _NS_OUT, _NS_IN, _, _DIGON, _NBR = range(len(_ROWS))
+
+
+def _degree_rows(kinds) -> list[int]:
+    """The rows 1..5 whose degree a partner of these kinds counts toward:
+    every row that allows all of them."""
+    return [r for r in range(1, len(_ROWS)) if set(kinds) <= set(_ALLOWED_KINDS[_ROWS[r]])]
+
+
+def _far_end(kind: PairKind) -> PairKind:
+    """The kind of a pair seen from its other end: forward and backward swap."""
+    return PairKind((kind & 1) << 1 | kind >> 1)
 
 
 class _Masks:
@@ -256,7 +251,7 @@ class _Masks:
         non_nbr = [full & ~(b | 1 << v) for v, b in enumerate(nbr)]
         ns = [o | i for o, i in zip(nsout, nsin)]
         self.n = d.n
-        self.rows = (non_nbr, nsout, nsin, ns, digon, nbr)
+        self.rows = (non_nbr, nsout, nsin, ns, digon, nbr)  # EdgeConstraint order
         self._degrees: Optional[list] = None
         self._meeting: dict[tuple[int, ...], int] = {}
 
@@ -443,8 +438,7 @@ def theorem5_rhs(d: Digraph) -> bool:
     """Like theorem4_rhs, plus no induced non-symmetric directed cycle and
     no lollipop."""
     return (
-        is_chordal(symmetric_subdigraph(d), Variant.SEMI_STRICT)
+        theorem4_rhs(d)
         and find_nonsym_induced_dicycle(d, 3) is None
-        and find_any_fig1(d) is None
         and find_lollipop(d) is None
     )

@@ -261,9 +261,10 @@ def _base(family: str, n: int) -> np.ndarray:
     n vertices."""
     slots = pair_slots(n)
     base = set()
-    for d, perm in itertools.product(_members(family, n), itertools.permutations(range(n))):
+    members = [d.codes for d in _members(family, n)]  # derived once, not per relabelling
+    for codes, perm in itertools.product(members, itertools.permutations(range(n))):
         index = 0
-        for (a, b), c in zip(slots, d.codes):
+        for (a, b), c in zip(slots, codes):
             x, y = perm[a], perm[b]
             if x > y:  # the pair is stored the other way round: swap the arcs
                 x, y, c = y, x, ((c & 1) << 1) | (c >> 1)

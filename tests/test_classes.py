@@ -184,6 +184,12 @@ def test_generate_lsc_predicate_and_determinism():
     assert parse(serialize(generate_locally_semicomplete(3, 6))) is not None
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_generate_lsc_rejects_an_empty_order(n):
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        generate_locally_semicomplete(0, n)
+
+
 # -- the substitution closure reaches every small WQT digraph --------------------
 
 

@@ -1,11 +1,15 @@
 import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from dichordal import chordality, cli
+from dichordal.chordality import Variant
 from dichordal.classes import (
+    _FLAG_CHECKS,
+    classify,
     is_extended_semicomplete,
     is_locally_semicomplete,
     is_oriented,
@@ -16,7 +20,7 @@ from dichordal.classes import (
     is_weakly_quasi_transitive,
 )
 from dichordal.cli import build_parser, main
-from dichordal.digraph import enumerate_digraphs, serialize
+from dichordal.digraph import enumerate_digraphs, parse, serialize
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 EX1 = str(DATA / "example1.dg")
@@ -92,6 +96,15 @@ def test_order_subcommand(capsys):
     assert code == 1 and out.strip() == "NONE"
 
 
+def test_order_json(capsys):
+    code, out, _ = run(capsys, "order", EX2, "--json")
+    want = chordality.elimination_ordering(parse(Path(EX2).read_text()), Variant.SEMI_STRICT)
+    assert (code, out) == (0, "[0, 1, 3, 2, 4]\n")  # "a b d c e" by vertex number
+    assert json.loads(out) == list(want.order)
+    code, out, _ = run(capsys, "order", EX1, "--json")
+    assert (code, out) == (1, "null\n")
+
+
 def test_knot_example1(capsys):
     code, out, _ = run(capsys, "knot", EX1)
     assert code == 0
@@ -123,6 +136,23 @@ def test_classify_cycle(capsys, tmp_path):
     assert "semicomplete: yes" in out
     assert "weakly-quasi-transitive: yes" in out
     assert "oriented: yes" in out
+
+
+@pytest.mark.parametrize("path", [EX1, EX2, "c3"])
+def test_classify_json(capsys, tmp_path, path):
+    if path == "c3":
+        path = tmp_path / "c3.dg"
+        path.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, out, _ = run(capsys, "classify", str(path), "--json")
+    report = classify(parse(Path(path).read_text()))
+    payload = json.loads(out)
+    assert code == 0 and out.count("\n") == 1
+    assert list(payload["flags"]) == list(_FLAG_CHECKS)  # catalogue order
+    assert payload["flags"] == report.flags
+    assert list(payload["witnesses"]) == list(report.witnesses)
+    assert payload["witnesses"] == {k: list(v) for k, v in report.witnesses.items()}
+    assert all(isinstance(w, list) for w in payload["witnesses"].values())
+    assert set(payload["witnesses"]) == {k for k, ok in report.flags.items() if not ok}
 
 
 def test_classify_example1_witness(capsys):
@@ -166,6 +196,18 @@ def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--check", "theorem4", "--n", "4")
     assert code == 0
     assert "failures=0" in out and "status: PASS" in out
+
+
+@pytest.mark.parametrize("check", ["theorem4", "nesting"])
+def test_verify_timing_adds_only_the_wall_time_line(capsys, check):
+    code, plain, _ = run(capsys, "verify", "--check", check, "--n", "3")
+    timed_code, timed, _ = run(capsys, "verify", "--check", check, "--n", "3", "--timing")
+    assert code == timed_code == 0
+    lines = timed.splitlines(keepends=True)
+    assert re.fullmatch(r"wall_time: \d+\.\d{3}s\n", lines[-2])
+    assert lines[-1] == "status: PASS\n"
+    del lines[-2]
+    assert "".join(lines) == plain
 
 
 def test_verify_unknown_check(capsys):

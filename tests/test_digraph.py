@@ -45,6 +45,31 @@ def test_build_digon():
     assert d.pair_kind(0, 1) is PairKind.DIGON
 
 
+@pytest.mark.parametrize("n,count", [(3, 2), (3, 4), (0, 1), (2, 0)])
+def test_pair_codes_must_fill_every_slot(n, count):
+    want = f"^expected {n * (n - 1) // 2} pair codes for n={n}, got {count}$"
+    with pytest.raises(ValueError, match=want):
+        Digraph(n, [0] * count)
+
+
+def test_build_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        build(-1, [])
+
+
+@pytest.mark.parametrize("vertices", [[0, 4], [-1, 2], [5]])
+def test_induced_rejects_vertices_outside_the_range(ex1, vertices):
+    with pytest.raises(ValueError, match="^induced set must be a subset of the vertex range$"):
+        induced(ex1, vertices)
+
+
+@pytest.mark.parametrize("n,index", [(3, -1), (3, 64), (0, 1), (2, 4)])
+def test_digraph_from_index_rejects_an_index_outside_the_range(n, index):
+    with pytest.raises(ValueError, match="^digraph index out of range$"):
+        digraph_from_index(n, index)
+    assert digraph_to_index(digraph_from_index(n, digraph_count(n) - 1)) == digraph_count(n) - 1
+
+
 def test_build_collapses_duplicates():
     assert build(2, [(0, 1), (0, 1)]) == build(2, [(0, 1)])
 
@@ -161,6 +186,13 @@ def test_substitute_empty_part_rejected():
         substitute(build(1, []), [build(0, [])])
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, 4])
+def test_substitute_wants_one_part_per_vertex(count):
+    k1 = build(1, [])
+    with pytest.raises(ValueError, match=f"^expected 2 substitution parts, got {count}$"):
+        substitute(build(2, [(0, 1)]), [k1] * count)
+
+
 @given(digraphs(max_n=5))
 def test_substitute_singletons_is_identity(d):
     k1 = build(1, [])
@@ -241,9 +273,13 @@ def test_labels_roundtrip(ex1):
 
 
 # a field that is no integer names its line, like the other format errors
+# inputs whose exact message is pinned
 NAMED_LINE = {
     "2 1\n0 x\n": "malformed arc line '0 x'",
     "2 0\n# x name\n": "malformed label line '# x name'",
+    "a b\n": "malformed header 'a b', expected 'n m'",
+    "-1 0\n": "header counts must be nonnegative",
+    "2 0\n# 0\n": "malformed label line '# 0'",
 }
 
 
@@ -257,7 +293,7 @@ NAMED_LINE = {
         "2 1\n0 5\n",  # out of range
         "2 1\n0 1 2\n",  # malformed arc line
         "2 0\n# 7 z\n",  # label out of range
-        *NAMED_LINE,  # an arc field or a label vertex that is no integer
+        *NAMED_LINE,  # a field that is no integer, a negative count, a one-field label
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -11,6 +11,7 @@ n <= 4 and on seeded random digraphs up to n=60.  The class witnesses,
 
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -133,7 +134,6 @@ def check_constructors(n, codes, subsets):
     assert ref_build_codes(n, arcs) == codes
     made = [build(n, arcs), build(n, reversed(arcs + arcs)), from_out_masks(list(d.out_masks))]
     for e in made:
-        assert e._codes is None  # derived on first use, not at construction
         assert_matches(e, n, codes)
         assert e == d and hash(e) == hash(d)
     sym = symmetric_subdigraph(d)
@@ -255,16 +255,26 @@ def test_are_isomorphic_matches_canonical_form_n3():
             assert are_isomorphic(d1, d2) == (f1 == f2)
 
 
-def test_large_path_builds_and_classifies_on_masks():
-    n = 4096
+def traced(f, *args):
+    """(f(*args), what of its allocations is still held, and their peak),
+    as tracemalloc sees them."""
     tracemalloc.start()
     try:
-        d = build(n, [(i, i + 1) for i in range(n - 1)])
-        _, peak = tracemalloc.get_traced_memory()
+        result = f(*args)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, held, peak
+
+
+def test_large_path_builds_and_classifies_on_masks():
+    n = 4096
+    d, _, peak = traced(build, n, [(i, i + 1) for i in range(n - 1)])
     assert peak < 50 * 2**20
-    report = classify(d)
+    # classify never derives the n(n-1)/2 pair codes: they would take over
+    # 60 MB here, and classify on the masks peaks near 1.4 MB
+    report, _, peak = traced(classify, d)
+    assert peak < 8 * 2**20
     # witnesses captured with the code-based classify
     assert report.witnesses == {
         "semicomplete": (0, 2),
@@ -274,9 +284,19 @@ def test_large_path_builds_and_classifies_on_masks():
         "symmetric": (0, 1),
         "transitive_oriented": (0, 1, 2),
     }
-    assert d._codes is None  # classify never forces the n(n-1)/2 codes
     digons = symmetric_subdigraph(build(n, [(i, i + 1) for i in range(n - 1)] +
                                         [(i + 1, i) for i in range(n - 1)]))
     assert _symmetric_violation(digons) is None
     assert _oriented_violation(digons) == (0, 1)
-    assert digons._codes is None
+    report, _, peak = traced(classify, digons)
+    assert peak < 8 * 2**20
+    assert report.flags["symmetric"] and report.witnesses["oriented"] == (0, 1)
+
+
+def test_a_digraph_built_from_pair_codes_keeps_only_its_masks():
+    # n=400: a tuple of the 79,800 codes takes 0.6 MB, the masks about 0.1 MB
+    codes = [c % 4 for c in range(400 * 399 // 2)]
+    for make, args in ((random_digraph, (400,)), (Digraph, (400, codes))):
+        d, held, _ = traced(make, *args)
+        assert held < sys.getsizeof(d.codes) / 3, make.__name__
+        assert Digraph(d.n, d.codes) == d

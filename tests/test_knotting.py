@@ -139,8 +139,9 @@ def test_digon_arcs_can_share_both_classes():
     d = build(6, [(0, 1), (1, 0), (1, 2), (3, 1), (4, 0), (0, 5)])
     k = knotting_graph(d)
     assert len(k.edges) == d.arc_count == 6
-    e01 = k.arc_to_edge[(0, 1)]
-    e10 = k.arc_to_edge[(1, 0)]
+    edge = {e.arc: e for e in k.edges}
+    e01 = edge[(0, 1)]
+    e10 = edge[(1, 0)]
     assert {e01.a, e01.b} == {e10.a, e10.b}  # same unordered class pair
     assert len({e.arc for e in k.edges}) == 6  # still six distinct edges
 

@@ -148,6 +148,8 @@ def ref_deletion_derived_mismatch(d, v, k_old=None):
     relabel = {u: i for i, u in enumerate(keep)}
     h = induced(d, keep)
     k_new = knotting_graph(h)
+    old_edge = {e.arc: e for e in k_old.edges}
+    new_edge = {e.arc: e for e in k_new.edges}
 
     for u in keep:
         if len(k_old.group(u)) != len(k_new.group(relabel[u])):
@@ -158,8 +160,8 @@ def ref_deletion_derived_mismatch(d, v, k_old=None):
             if v in (x, y) or u not in (x, y):
                 continue
             # an edge's class at u: `.a` when u is the tail, `.b` when the head
-            old = k_old.arc_to_edge[(x, y)]
-            new = k_new.arc_to_edge[(relabel[x], relabel[y])]
+            old = old_edge[(x, y)]
+            new = new_edge[(relabel[x], relabel[y])]
             old_id, new_id = (old.a, new.a) if u == x else (old.b, new.b)
             if fwd.setdefault(old_id, new_id) != new_id:
                 return f"class of vertex {u} splits"
@@ -200,7 +202,6 @@ def ref_knotting_graph(d):
         n=d.n,
         classes=tuple(cls for group in groups for cls in group),
         edges=tuple(edges),
-        arc_to_edge={e.arc: e for e in edges},
         groups=groups,
     )
 
@@ -336,7 +337,7 @@ def assert_same_knotting_graph(d):
     assert got == want, d
     # `==` skips the compare=False fields
     assert got.groups == want.groups, d
-    assert list(got.arc_to_edge.items()) == list(want.arc_to_edge.items()), d
+    assert [e.arc for e in got.edges] == list(d.arcs()), d
     for v in range(d.n):
         assert tuple(knot_classes(d, v)) == want.groups[v], (d, v)
 

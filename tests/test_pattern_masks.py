@@ -279,6 +279,79 @@ def test_lollipop_respects_k_max():
     assert find_lollipop(host).name == "lollipop3"
 
 
+# -- the search plan, derived from _ALLOWED_KINDS, against the literal tables -----------
+
+# the row of each constraint, and the rows 1..5 whose degree a partner
+# under it counts toward, as hand-written tables before they were derived
+REF_ROW = dict(zip(EdgeConstraint, range(6)))
+REF_COUNTS = {
+    EdgeConstraint.ARC_FORWARD: (1, 3, 5),
+    EdgeConstraint.ARC_BACKWARD: (2, 3, 5),
+    EdgeConstraint.NONSYM_EITHER: (3, 5),
+    EdgeConstraint.DIGON: (4, 5),
+    EdgeConstraint.ANY_ADJACENT: (5,),
+}
+REF_SEEN_FROM_J = {
+    EdgeConstraint.ARC_FORWARD: EdgeConstraint.ARC_BACKWARD,
+    EdgeConstraint.ARC_BACKWARD: EdgeConstraint.ARC_FORWARD,
+}
+
+
+def ref_plan(t):
+    need = [[0] * 5 for _ in range(t.k)]
+    cut = list(range(t.k))
+    for (i, j), con in t.constraints.items():
+        if con is EdgeConstraint.NON_ADJACENT:
+            continue
+        for r in REF_COUNTS[con]:
+            need[i][r - 1] += 1
+        for r in REF_COUNTS[REF_SEEN_FROM_J.get(con, con)]:
+            need[j][r - 1] += 1
+        cut[j] = min(cut[j], i)
+    checks = [
+        tuple((p, REF_ROW[t.constraint(p, i)]) for p in range(cut[i], i)) for i in range(t.k)
+    ]
+    return [tuple(x) for x in need], cut, checks
+
+
+@pytest.mark.parametrize(
+    "t",
+    list(fig1_templates()) + [lollipop_template(k) for k in range(1, 9)],
+    ids=lambda t: t.name,
+)
+def test_plan_matches_the_literal_tables(t):
+    assert t._plan == ref_plan(t)
+
+
+def test_constraint_reads_a_pair_in_either_order():
+    t = fig1_templates()[1]  # fig1b: (1, 2) is ARC_FORWARD, (1, 3) ARC_BACKWARD
+    for (i, j), con in t.constraints.items():
+        assert t.constraint(j, i) is t.constraint(i, j) is con
+    assert t.constraint(3, 1) is EdgeConstraint.ARC_BACKWARD
+    assert lollipop_template(2).constraint(5, 0) is EdgeConstraint.NON_ADJACENT
+
+
+def test_an_explicit_non_adjacent_entry_changes_nothing():
+    # lollipops with every unlisted pair written out as NON_ADJACENT
+    hosts = [planted(9000 + s, 9) for s in range(60)]
+    hosts += [random_digraph(8, (3, 1, 1, 1), seed=s) for s in range(40)]
+    hits = 0
+    for k in (1, 2, 3):
+        t = lollipop_template(k)
+        spelled = PatternTemplate(
+            t.name,
+            t.k,
+            {(i, j): t.constraint(i, j) for i, j in itertools.combinations(range(t.k), 2)},
+        )
+        assert EdgeConstraint.NON_ADJACENT in spelled.constraints.values()
+        assert spelled._plan == t._plan
+        for d in hosts + expand_template(t):
+            got = find_induced(d, spelled)
+            assert got == find_induced(d, t)
+            hits += got is not None
+    assert hits >= 20
+
+
 # -- `forbidden` output pinned to the pair_kind matcher's ---------------------------------
 
 EX1 = build(4, [(0, 1), (1, 2), (3, 0), (3, 1), (3, 2), (2, 3)])

@@ -4,8 +4,9 @@
 command the `query` workload can run.  The `recognize` commands run on
 digon paths up to 500 vertices and print NO verdicts on random digraphs
 up to 200 vertices, with large stalled subdigraphs, which the labelled
-inputs of `test_cli_text` do not reach.  Each one must reproduce its recorded digest and exit code.
-The second test runs every pool command, `knot` and `forbidden` included.
+inputs of `test_cli_text` do not reach.  The test runs every pool
+command, `knot` and `forbidden` included, and each one must reproduce its
+recorded digest and exit code.
 The pool and the digest come from `perfbench/workloads.py`, which is only
 loaded here; nothing under `perfbench/` is written.
 """
@@ -27,31 +28,15 @@ def _workloads(monkeypatch):
     return module
 
 
-def test_recognize_matches_the_golden_digests(tmp_path, monkeypatch):
+def test_every_pool_command_matches_its_golden_digest(tmp_path, monkeypatch):
+    # `recognize`, `knot` and `forbidden`: every command any seed can draw
     wl = _workloads(monkeypatch)
     golden = wl.load_golden()["commands"]
     inputs = wl.pool_inputs(wl.wqt_pool())
     assert len(inputs) == 192
     assert "dp-500" in inputs and "rnd200-g15" in inputs
-    wrong = []
-    for input_id in inputs:
-        path = tmp_path / f"{input_id}.dg"
-        path.write_text(serialize(wl.make_digraph(input_id)))
-        res = wl.run_command(cli.main, wl.COMMANDS["recognize"] + [str(path)])
-        if [res.digest, res.rc] != golden[input_id]["recognize"]:
-            wrong.append((input_id, res.rc, res.error))
-    assert not wrong
-
-
-def test_every_pool_command_matches_its_golden_digest(tmp_path, monkeypatch):
-    # `knot` and `forbidden` as well: every command any seed can draw
-    wl = _workloads(monkeypatch)
-    golden = wl.load_golden()["commands"]
-    commands = {
-        (input_id, cmd)
-        for input_id in wl.pool_inputs(wl.wqt_pool())
-        for cmd in wl.commands_for(input_id)
-    }
+    commands = {(input_id, cmd) for input_id in inputs for cmd in wl.commands_for(input_id)}
+    assert {i for i, cmd in commands if cmd == "recognize"} == set(inputs)
     assert commands == {(i, cmd) for i, cmds in golden.items() for cmd in cmds}
     assert len(commands) == 412
     wrong = []

@@ -1,4 +1,6 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package imports a name it does not use, and no
+module defines a private top-level name that no module of the package
+reads.
 
 The one exception is a name that the benchmark's tracer rebinds on that
 module (`perfbench/tracer.py` `BINDINGS`): such an import is kept so that
@@ -6,7 +8,13 @@ the tracer can wrap it, and `tests/test_tracer_bindings.py` checks that it
 resolves.  It must sit alone on its own line, marked with `MARKER`; and
 conversely a marked import must be unread and bound by the tracer, so a
 stale marker fails too.  `__init__.py` is the package's re-export list and
-is skipped.  The check reads the source with `ast`, so it needs no linter.
+is skipped.  The checks read the source with `ast`, so they need no
+linter.
+
+A private name is one with a single leading underscore, other than `_`
+itself (which marks an unpacked value as unused).  It is read where a
+module loads it, imports it or reads it as an attribute; a private
+function, class or assignment target that nothing reads is dead.
 """
 
 import ast
@@ -90,6 +98,59 @@ def test_marker_problems_finds_unmarked_shared_and_stale_imports():
         "line 6: marker off a one-name import",
         "line 8: marker off a one-name import",
     ]
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The private names bound at the top level of `tree`: functions,
+    classes and assignment targets."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and n != "_" and not n.startswith("__")}
+
+
+def _reads_anywhere(tree: ast.AST) -> set[str]:
+    """Names that `tree` loads, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def dead_private_names(sources: list[str]) -> set[str]:
+    """Private top-level names defined in some of `sources` and read in none."""
+    trees = [ast.parse(source) for source in sources]
+    defined = set().union(*map(_private_definitions, trees))
+    return defined - set().union(*map(_reads_anywhere, trees))
+
+
+def test_dead_private_names_finds_unread_definitions():
+    a = (
+        "from b import _shared\n"
+        "_, _SEEN, _UNSEEN = range(3)\n"
+        "_table: dict = {}\n"
+        "__all__ = []\n"
+        "def _helper(): return _SEEN\n"
+        "def _orphan(): return _table\n"
+        "class _Kept: pass\n"
+        "def public(): return _helper()\n"
+    )
+    b = "import a\n_shared = 1\n_spare = 2\nclass _Box: pass\nx = a._Kept\n_spare = 3\n"
+    assert dead_private_names([a, b]) == {"_UNSEEN", "_orphan", "_spare", "_Box"}
+
+
+def test_every_private_top_level_name_is_read():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert dead_private_names(sources) == set()
 
 
 def _bound(path: Path) -> set[str]:
