@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import traceback
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from pathlib import Path
 
@@ -49,11 +49,11 @@ def _read_digraph(path: str) -> tuple[Digraph, dict[int, str], list[str]]:
     return d, names, _labels(d.n, names)
 
 
-_CHUNK = 1024  # lines per write
+_CHUNK = 1024  # pieces per write
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write newline-terminated lines to stdout, _CHUNK lines per write."""
+    """Write pieces of text, usually lines, to stdout, _CHUNK pieces per write."""
     it = iter(lines)
     while chunk := "".join(islice(it, _CHUNK)):
         sys.stdout.write(chunk)
@@ -131,39 +131,87 @@ def cmd_order(args) -> int:
 # -- knot ------------------------------------------------------------------------
 
 
+def _member_arcs(v: int, cls_in: int, cls_out: int) -> list[tuple[int, int]]:
+    """The member arcs of v's class (cls_in, cls_out) in sorted order: the
+    in-arcs from below v, then the out-arcs, then the in-arcs from above v."""
+    below = (1 << v) - 1
+    return (
+        [(u, v) for u in bits(cls_in & below)]
+        + [(v, w) for w in bits(cls_out)]
+        + [(u, v) for u in bits(cls_in & ~below)]
+    )
+
+
+def _knot_text(table: knotting._ClassTable, labels: list[str]) -> Iterator[str]:
+    """`knot`'s text lines: each class with its member arcs in sorted order,
+    each arc's edge in `d.arcs()` order, then the counts."""
+    groups, in_idx, out_idx = table
+    names = [[f"{lab}^{i}" for i in range(1, len(g) + 1)] for lab, g in zip(labels, groups)]
+    for v, group in enumerate(groups):
+        for name, cls in zip(names[v], group):
+            members = ", ".join([f"{labels[u]}->{labels[w]}" for u, w in _member_arcs(v, *cls)])
+            yield f"{name} = {{{members}}}\n"
+    for u, heads in enumerate(out_idx):
+        lab, at_u = labels[u], names[u]
+        for w, i in heads.items():
+            yield f"{at_u[i - 1]} -- {names[w][in_idx[w][u] - 1]}   [{lab}->{labels[w]}]\n"
+    yield f"{sum(map(len, groups))} classes, {sum(map(len, out_idx))} edges\n"
+
+
+def _json_array(items: Iterable[Iterable[str]], indent: str) -> Iterator[str]:
+    """A JSON array laid out as `json.dumps(.., indent=2)` lays it out, from
+    items given as pieces of text: "[]" when empty, else one item per line
+    and "]" on its own line at `indent`."""
+    sep = "[\n"
+    for item in items:
+        yield sep
+        yield from item
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else f"\n{indent}]"
+
+
+_JSON_CLASS = '    {\n      "owner": %d,\n      "index": %d,\n      "members": '
+_JSON_ARC = "        [\n          %d,\n          %d\n        ]"
+_JSON_EDGE = (
+    '    {\n      "arc": [\n        %d,\n        %d\n      ],\n'
+    '      "a": [\n        %d,\n        %d\n      ],\n'
+    '      "b": [\n        %d,\n        %d\n      ]\n    }'
+)
+
+
+def _knot_json(table: knotting._ClassTable) -> Iterator[str]:
+    """`knot --json`: the document `json.dumps(.., indent=2)` prints for
+    {"classes": [{"owner", "index", "members"}, ...], "edges": [{"arc", "a", "b"}, ...]},
+    written one member arc or edge at a time."""
+    groups, in_idx, out_idx = table
+    classes = (
+        chain(
+            (_JSON_CLASS % (v, idx),),
+            _json_array(((_JSON_ARC % arc,) for arc in _member_arcs(v, *cls)), "      "),
+            ("\n    }",),
+        )
+        for v, group in enumerate(groups)
+        for idx, cls in enumerate(group, start=1)
+    )
+    edges = (
+        (_JSON_EDGE % (u, w, u, i, w, in_idx[w][u]),)
+        for u, heads in enumerate(out_idx)
+        for w, i in heads.items()
+    )
+    yield '{\n  "classes": '
+    yield from _json_array(classes, "  ")
+    yield ',\n  "edges": '
+    yield from _json_array(edges, "  ")
+    yield "\n}\n"
+
+
 def cmd_knot(args) -> int:
     d, names, labels = _read_digraph(args.input)
-    k = knotting.knotting_graph(d)
     if args.dot:
-        sys.stdout.write(knotting.to_dot(k, names))
+        sys.stdout.write(knotting.to_dot(knotting.knotting_graph(d), names))
         return 0
-    if args.json:
-        out = {
-            "classes": [
-                {
-                    "owner": c.owner,
-                    "index": c.index,
-                    "members": sorted(list(a) for a in c.members),
-                }
-                for c in k.classes
-            ],
-            "edges": [{"arc": list(e.arc), "a": list(e.a), "b": list(e.b)} for e in k.edges],
-        }
-        print(json.dumps(out, indent=2))
-        return 0
-    class_name = {c.id: f"{labels[c.owner]}^{c.index}" for c in k.classes}
-
-    def members(c: knotting.SplittingClass) -> str:
-        return ", ".join([f"{labels[u]}->{labels[w]}" for u, w in sorted(c.members)])
-
-    _write_lines(chain(
-        (f"{class_name[c.id]} = {{{members(c)}}}\n" for c in k.classes),
-        (
-            f"{class_name[e.a]} -- {class_name[e.b]}   [{labels[e.arc[0]]}->{labels[e.arc[1]]}]\n"
-            for e in k.edges
-        ),
-        [f"{len(k.classes)} classes, {len(k.edges)} edges\n"],
-    ))
+    table = knotting._class_table(d)
+    _write_lines(_knot_json(table) if args.json else _knot_text(table, labels))
     return 0
 
 

@@ -24,11 +24,15 @@ out-arcs to `out(v) & ~digon(u) & ~{u}`, and an out-arc to w with the
 in-arcs from `in(v) & ~digon(w) & ~{w}`, so a breadth-first search that
 expands each arc once finds every class in O(deg) mask operations.
 
-`knotting_graph` reads each vertex's class masks once.  While it builds
-a class, it records the class's id under the far end of each member arc,
-in-arcs and out-arcs apart; each arc (u, w) of `d.arcs()` then becomes
-the edge from u's class of out-arc w to w's class of in-arc u, with no
-second walk over the member sets.
+One class table (`_class_table`) reads each vertex's class masks once.
+It keeps them as mask pairs, an arcless vertex owning one empty class,
+and records the 1-based index of the class holding each arc at its tail
+and at its head, under the arc's far end.  `knotting_graph` builds its
+`SplittingClass` and `KnottingEdge` objects from the table: each arc
+(u, w) of `d.arcs()` becomes the edge from u's class of out-arc w to w's
+class of in-arc u.  The CLI's `knot` text and `--json` writers read the
+table directly and build neither object; `--dot` goes through
+`knotting_graph`.
 
 The same routine evaluates v inside any induced subdigraph D[S] without
 building it: restrict in(v) and out(v) to S.  That is exact because
@@ -147,26 +151,41 @@ def _qualifies(d: Digraph, v: int, alive: int) -> bool:
     return True
 
 
-def _group(
-    d: Digraph, v: int, ins: dict[int, ClassId], outs: dict[int, ClassId]
-) -> tuple[SplittingClass, ...]:
-    """v's splitting classes in D, indexed from 1 by their smallest member arc.
+def _vertex_classes(d: Digraph, v: int) -> list[tuple[int, int]]:
+    """v's splitting classes in D as `_class_masks` pairs; an arcless vertex
+    owns one empty class."""
+    return list(_class_masks(d, v, (1 << d.n) - 1)) or [(0, 0)]
 
-    An isolated vertex owns a single empty class.  Records the id of the
-    class holding each arc at v by the arc's far end: ins[u] for the
-    in-arc (u, v), outs[w] for the out-arc (v, w).
+
+_ClassTable = tuple[list[list[tuple[int, int]]], list[dict[int, int]], list[dict[int, int]]]
+
+
+def _class_table(d: Digraph) -> _ClassTable:
+    """Every vertex's splitting classes and every arc's class at each end.
+
+    Returns (groups, in_idx, out_idx): groups[v] lists v's classes as
+    `_vertex_classes` pairs, indexed from 1 in list order; in_idx[w][u] and
+    out_idx[u][w] are the 1-based indices of the classes holding the arc
+    (u, w) at its head w and at its tail u.  out_idx[u] holds u's heads in
+    ascending order, so walking out_idx walks the arcs in `d.arcs()` order.
     """
-    group = []
-    for idx, (cls_in, cls_out) in enumerate(_class_masks(d, v, (1 << d.n) - 1), start=1):
-        cid = (v, idx)
-        tails = list(bits(cls_in))
-        heads = list(bits(cls_out))
-        ins.update(dict.fromkeys(tails, cid))
-        outs.update(dict.fromkeys(heads, cid))
-        group.append(
-            SplittingClass(v, idx, frozenset([(u, v) for u in tails] + [(v, w) for w in heads]))
+    groups = [_vertex_classes(d, v) for v in range(d.n)]
+    in_idx = [{u: i for i, (ins, _) in enumerate(g, 1) for u in bits(ins)} for g in groups]
+    out_idx = [
+        dict(sorted([(w, i) for i, (_, outs) in enumerate(g, 1) for w in bits(outs)]))
+        for g in groups
+    ]
+    return groups, in_idx, out_idx
+
+
+def _splitting_classes(v: int, group: list[tuple[int, int]]) -> tuple[SplittingClass, ...]:
+    """The `SplittingClass` objects of v's class masks."""
+    return tuple(
+        SplittingClass(
+            v, idx, frozenset([(u, v) for u in bits(cls_in)] + [(v, w) for w in bits(cls_out)])
         )
-    return tuple(group) or (SplittingClass(v, 1, frozenset()),)
+        for idx, (cls_in, cls_out) in enumerate(group, start=1)
+    )
 
 
 def knot_classes(d: Digraph, v: int) -> list[SplittingClass]:
@@ -175,24 +194,27 @@ def knot_classes(d: Digraph, v: int) -> list[SplittingClass]:
     An isolated vertex owns a single empty class.
     """
     d._check_vertex(v)
-    return list(_group(d, v, {}, {}))
+    return list(_splitting_classes(v, _vertex_classes(d, v)))
 
 
 def knotting_graph(d: Digraph) -> KnottingGraph:
-    """The knotting graph K_D, in one pass over the class masks.
+    """The knotting graph K_D, built from the class table.
 
     Arc (u, w) becomes the edge between u's class holding it as an out-arc
     and w's class holding it as an in-arc; edges follow `d.arcs()` order.
     """
-    # in_id[w][u] and out_id[u][w]: the class of arc (u, w) at w and at u
-    in_id: list[dict[int, ClassId]] = [{} for _ in range(d.n)]
-    out_id: list[dict[int, ClassId]] = [{} for _ in range(d.n)]
-    groups = tuple(_group(d, v, in_id[v], out_id[v]) for v in range(d.n))
+    groups, in_idx, out_idx = _class_table(d)
+    classes = tuple(_splitting_classes(v, group) for v, group in enumerate(groups))
+    ids = [[cls.id for cls in group] for group in classes]  # one ClassId per class, shared
     return KnottingGraph(
         n=d.n,
-        classes=tuple(cls for group in groups for cls in group),
-        edges=tuple(KnottingEdge((u, w), out_id[u][w], in_id[w][u]) for u, w in d.arcs()),
-        groups=groups,
+        classes=tuple(cls for group in classes for cls in group),
+        edges=tuple(
+            KnottingEdge((u, w), ids[u][i - 1], ids[w][in_idx[w][u] - 1])
+            for u, heads in enumerate(out_idx)
+            for w, i in heads.items()
+        ),
+        groups=classes,
     )
 
 

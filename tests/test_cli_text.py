@@ -12,6 +12,7 @@ graph code with the CLI.
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from dichordal import knotting
 from dichordal.chordality import Variant, _greedy, _variant_masks, elimination_ordering, witness
 from dichordal.classes import classify, generate_locally_semicomplete
 from dichordal.cli import main
-from dichordal.digraph import bits, build, induced, random_digraph, serialize
+from dichordal.digraph import bits, build, induced, parse_labeled, random_digraph, serialize
 from dichordal.patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 
 from test_knotting_masks import ref_knotting_graph
@@ -213,3 +214,62 @@ def test_stdout_matches_the_per_line_printers(tmp_path, argv, ref):
         path.write_text(serialize(d, names))
         got = captured(main, [*argv, str(path)])
         assert got == captured(ref, d, names), (argv, serialize(d, names))
+
+
+# -- knot writes from the class table ---------------------------------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def knot_inputs(tmp_path):
+    """The demo files and a labelled random digraph with digons and
+    isolated vertices (0 and n - 1), as (path, digraph, names)."""
+    for path in sorted(DATA.glob("*.dg")):
+        yield path, *parse_labeled(path.read_text())
+    d = random_digraph(30, (2, 1, 1, 2), seed=7)
+    d = build(32, [(u + 1, w + 1) for u, w in d.arcs()])
+    names = {v: LABELS[v % len(LABELS)].format(v) for v in range(d.n) if v % 3 != 2}
+    assert d.digon_masks[1] and not d.neighbor_mask(0) and not d.neighbor_mask(d.n - 1)
+    path = tmp_path / "digons.dg"
+    path.write_text(serialize(d, names))
+    yield path, d, names
+
+
+@pytest.mark.parametrize("flag", ["", "--json"])
+def test_knot_builds_no_class_or_edge_objects(tmp_path, monkeypatch, flag):
+    cases = [
+        (path, captured(ref_knot, d, names, flag)) for path, d, names in knot_inputs(tmp_path)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("knot built a knotting-graph object")
+
+    monkeypatch.setattr(knotting, "SplittingClass", refuse)
+    monkeypatch.setattr(knotting, "KnottingEdge", refuse)
+    for path, want in cases:
+        assert captured(main, ["knot", str(path), *([flag] if flag else [])]) == want, path
+
+
+def knot_json_document(k):
+    """`knot --json` as it was printed: json.dumps of one dict built from
+    the knotting graph."""
+    out = {
+        "classes": [
+            {"owner": c.owner, "index": c.index, "members": sorted(list(a) for a in c.members)}
+            for c in k.classes
+        ],
+        "edges": [{"arc": list(e.arc), "a": list(e.a), "b": list(e.b)} for e in k.edges],
+    }
+    return json.dumps(out, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("d", [
+    random_digraph(300, (1, 1, 1, 1), seed=23),
+    build(0, []),
+    build(4, [(0, 1), (1, 0), (1, 2)]),  # vertex 3 is isolated
+], ids=["dense-300", "n0", "isolated"])
+def test_knot_json_equals_json_dumps_of_the_graph(tmp_path, d):
+    path = tmp_path / "in.dg"
+    path.write_text(serialize(d))
+    want = knot_json_document(knotting.knotting_graph(d))
+    assert captured(main, ["knot", "--json", str(path)]) == (0, want)
