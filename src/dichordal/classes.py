@@ -31,8 +31,20 @@ from .digraph import (
 from .digraph import build  # noqa: F401  -- perfbench's tracer binds this name
 
 
+def _nonuniversal(d: Digraph) -> int:
+    """The vertices not adjacent to every other vertex.  Only these can
+    lie in a non-adjacent pair, so the scans below pass over the rest (on a
+    tournament, every vertex) without changing their witnesses."""
+    full, rest = (1 << d.n) - 1, 0
+    for x, (o, i) in enumerate(zip(d.out_masks, d.in_masks)):
+        if o | i | 1 << x != full:
+            rest |= 1 << x
+    return rest
+
+
 def _side_violation(side: int, out, inn) -> Optional[tuple[int, int]]:
-    # smallest (x, y), x < y, of non-adjacent vertices in the mask `side`
+    # smallest (x, y), x < y, of non-adjacent vertices in the mask `side`;
+    # the callers leave out the vertices adjacent to all others, which lie in none
     while side:
         low = side & -side
         side ^= low  # now exactly the members above x
@@ -44,7 +56,7 @@ def _side_violation(side: int, out, inn) -> Optional[tuple[int, int]]:
 
 
 def _semicomplete_violation(d: Digraph) -> Optional[tuple[int, int]]:
-    return _side_violation((1 << d.n) - 1, d.out_masks, d.in_masks)
+    return _side_violation(_nonuniversal(d), d.out_masks, d.in_masks)
 
 
 def is_semicomplete(d: Digraph) -> bool:
@@ -53,9 +65,9 @@ def is_semicomplete(d: Digraph) -> bool:
 
 def _locally_semicomplete_violation(d: Digraph) -> Optional[tuple[int, int, int]]:
     # (v, x, y): x and y lie in one of v's one-sided neighbourhoods, non-adjacent
-    out, inn = d.out_masks, d.in_masks
+    out, inn, rest = d.out_masks, d.in_masks, _nonuniversal(d)
     for v in range(d.n):
-        bad = _side_violation(inn[v], out, inn) or _side_violation(out[v], out, inn)
+        bad = _side_violation(inn[v] & rest, out, inn) or _side_violation(out[v] & rest, out, inn)
         if bad is not None:
             return (v, *bad)
     return None
@@ -70,12 +82,13 @@ def _wqt_violation(d: Digraph) -> Optional[tuple[int, int, int]]:
     # u's cell is the set of v's neighbours joined to v as u is (in-only,
     # out-only or digon); w is the lowest neighbour of v outside that cell
     # and not adjacent to u.  It lies above u: the relation is symmetric,
-    # and u is the first vertex that has such a w.
-    out, inn = d.out_masks, d.in_masks
+    # and u is the first vertex that has such a w.  A u adjacent to all
+    # other vertices has none.
+    out, inn, rest = d.out_masks, d.in_masks, _nonuniversal(d)
     for v in range(d.n):
         ins, outs = inn[v], out[v]
         nb = ins | outs
-        for u in bits(nb):
+        for u in bits(nb & rest):
             cell = (ins if ins >> u & 1 else ~ins) & (outs if outs >> u & 1 else ~outs)
             ws = nb & ~cell & ~(out[u] | inn[u])
             if ws:
@@ -89,9 +102,9 @@ def is_weakly_quasi_transitive(d: Digraph) -> bool:
 
 def _qt_violation(d: Digraph) -> Optional[tuple[int, int, int]]:
     # (u, v, w): u -> v -> w with u != w non-adjacent; lowest u, then lowest w
-    out, inn = d.out_masks, d.in_masks
+    out, inn, rest = d.out_masks, d.in_masks, _nonuniversal(d)
     for v in range(d.n):
-        for u in bits(inn[v]):
+        for u in bits(inn[v] & rest):
             ws = out[v] & ~(out[u] | inn[u] | 1 << u)
             if ws:
                 return (u, v, (ws & -ws).bit_length() - 1)

@@ -5,9 +5,8 @@ digraph_from_index(n, i).  Every question kept here is hereditary, and the
 subdigraph induced on an ascending vertex set S is a fixed remap of the
 base-4 digits, subset_index(n, S, i): runs of consecutive digits, since
 S keeps the order of its pairs.  With del_v(i) the index of D - v, each
-table is a vectorized recurrence over the table of order n-1, evaluated
-by a row function rows(n, idx); `_table` builds it on first use, in
-CHUNK-row pieces that bound the numpy temporaries, and it is cached:
+table is a vectorized recurrence over the table of order n-1, built on
+first use and cached:
 
   greedy semi-strict chordality   T_n[i] = OR_v simp_v(i) & T_{n-1}[del_v(i)]
   containment of a family F       C_n[i] = base_n(i) | OR_v C_{n-1}[del_v(i)]
@@ -21,31 +20,49 @@ find_induced; the test suite cross-checks each table against its
 object-path detector.  The classes (weakly quasi-transitive, locally
 semicomplete) are decided on three vertices, as every violation is a
 triple: M_k for k <= 3 comes from the object predicates, and every 3-set
-of a larger digraph misses some v.  M is cached up to order TABLE_MAX_N,
+of a larger digraph misses some v.  M is built by a row function rows(n,
+idx) in CHUNK-row pieces (`_table`), and cached up to order TABLE_MAX_N,
 as T and C are; `wqt_mask` and `lsc_mask` evaluate the rows above it per
 chunk.  They are the per-index route that the tests check the block rule
 below against.
 
-The exhaustive scans read their rows from `block_chunks`.  Orders below
-4 have at most 64 indices, and `block_chunks` filters each of them
-through the prefilter.  From order 4 it reads only extension blocks.  The pairs of the
-last vertex are the last slots, the low 2(n-1) bits of an index, so the
-one-vertex extensions of order-(n-1) digraph p fill the block
-p*4^(n-1) .. (p+1)*4^(n-1) - 1.  A hereditary class keeps D - (n-1) of
-each member, so only the blocks of the order-(n-1) members are expanded
-(at n=5, 1,246 weakly quasi-transitive blocks: 318,976 rows instead of
-4^10), and a whole block is decided from the order-(n-1) table M by the
-class recurrence above.  Row o of p's block is the digraph P+o, and for
-v < n-1
+Extension blocks.  The pairs of the last vertex are the last slots, the
+low 2(n-1) bits of an index, so the one-vertex extensions of order-(n-1)
+digraph p fill the block p*4^(n-1) .. (p+1)*4^(n-1) - 1.  Row o of p's
+block is the digraph P+o, and for v < n-1
 
   index of (P+o) - v  =  deleted_index(n-1, v, p) << 2(n-2) | R_v[o],
 
 where R_v[o] = deleted_index(n, v, o) drops v's digit from the last
-vertex's digits.  So with E_v = M.reshape(-1, 4^(n-2))[:, R_v] the block
-is AND_{v<n-1} E_v[deleted_index(n-1, v, p)]: one contiguous row gather
-per deleted vertex (at n=5, four 64x256 tables).  v = n-1 is skipped, as that
-deletion is the parent itself.  M is built through the prefilter and
-cached with the E_v per (prefilter, order), four entries at most: about
+vertex's digits.  So for any order-(n-1) table X, with the extension
+views E_v = X.reshape(-1, 4^(n-2))[:, R_v] (`_extensions`), X at every
+D - v of p's block is the row E_v[deleted_index(n-1, v, p)]: one
+contiguous row gather per deleted vertex (at n=5, four 64x256 tables).
+The deletion of v = n-1 is the parent itself, X[p].  One block engine
+runs all three recurrences on these views:
+
+  T  OR_{v<n-1} simp_v & E_v[..] | simp_{n-1} & T_{n-1}[p], with simp_v
+     split into a part of P alone and a part of the last vertex, each a
+     row gather too (`_semi_strict_block`);
+  C  C_{n-1}[p] | OR_{v<n-1} E_v[..], and base_n scattered into the
+     blocks that hold its members (`_containment_block`);
+  M  AND_{v<n-1} E_v[..] over the member parents only (`block_chunks`).
+
+The T and C builders take an explicit ascending parents array, so they
+also evaluate pieces of order TABLE_MAX_N + 1, which no table holds; each
+call builds the order-(n-1) views, 20 MB at n=6.  The tables up to
+TABLE_MAX_N are built in one piece, a few 4^(n(n-1)/2)-byte buffers: at
+n=5 about 3 MB at once, freed after the build (see `_block_table` for
+why one piece).
+
+The exhaustive scans read their rows from `block_chunks`.  Orders below
+4 have at most 64 indices, and `block_chunks` filters each of them
+through the prefilter.  From order 4 it reads only extension blocks.  A
+hereditary class keeps D - (n-1) of each member, so only the blocks of
+the order-(n-1) members are expanded (at n=5, 1,246 weakly
+quasi-transitive blocks: 318,976 rows instead of 4^10), and a whole block
+is decided by M's recurrence above.  M is built through the prefilter and
+cached with its views per (prefilter, order), four entries at most: about
 70 KB at n=5 and 22 MB at n=6.  The blocks are then clipped to the range.
 The parents ascend and their blocks are disjoint and ascending, so the
 rows come out in ascending index order, exactly as filtering every index
@@ -120,28 +137,55 @@ def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
 @lru_cache(maxsize=4)
 def _block_rule(keep, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-(n-1) table M of `keep`, built through keep(n-1, .), and
-    E[v] = M.reshape(-1, 4^(n-2))[:, R_v] for each v < n-1, where R_v drops
-    v's digit from the last vertex's digits: row deleted_index(n-1, v, p)
-    of E[v] decides D - v for every row D of parent p's block."""
+    its extension views `_extensions(M, n)`."""
     members = _table(n - 1, keep)
-    offsets = np.arange(block_size(n), dtype=np.int64)
-    rows = members.reshape(-1, block_size(n - 1))
-    # C order: a row of E[v] is one block, gathered as one contiguous run
-    extensions = np.stack([rows[:, deleted_index(n, v, offsets)] for v in range(n - 1)])
-    extensions = np.ascontiguousarray(extensions)
+    extensions = _extensions(members, n)
     extensions.flags.writeable = False
     return members, extensions
 
 
+def _extensions(table: np.ndarray, n: int) -> np.ndarray:
+    """E[v] = table.reshape(-1, 4^(n-2))[:, R_v] for each v < n-1, for an
+    order-(n-1) table, where R_v drops v's digit from the last vertex's
+    digits: row deleted_index(n-1, v, p) of E[v] holds the table's entry
+    for D - v of every row D of parent p's block."""
+    offsets = np.arange(block_size(n), dtype=np.int64)
+    rows = table.reshape(-1, block_size(n - 1))
+    # C order: a row of E[v] is one block, gathered as one contiguous run
+    extensions = np.empty((n - 1, rows.shape[0], offsets.size), dtype=bool)
+    for v in range(n - 1):
+        extensions[v] = rows[:, deleted_index(n, v, offsets)]
+    return extensions
+
+
 def _table(n: int, rows) -> np.ndarray:
     """The read-only order-n table whose rows idx are rows(n, idx)."""
-    if not 0 <= n <= TABLE_MAX_N:
-        raise ValueError(f"lookup tables cover orders 0..{TABLE_MAX_N}, got n={n}")
+    _check_order(n)
     table = np.empty(digraph_count(n), dtype=bool)
     for idx in index_chunks(0, table.size):
         table[idx] = rows(n, idx)
     table.flags.writeable = False
     return table
+
+
+def _block_table(n: int, blocks) -> np.ndarray:
+    """The read-only order-n table, n >= 1, whose extension blocks are
+    blocks(n, parents), built in one piece over every parent.
+
+    One piece keeps warm scans free of page faults: at n=5 it frees 1 MB
+    buffers, and glibc then raises its dynamic mmap threshold above the
+    512 KB int64 arrays of a CHUNK-row scan, which so come from the heap.
+    Built in CHUNK-row pieces, nothing that large is freed, and those
+    arrays are mapped and faulted in afresh on every warm pass."""
+    _check_order(n)
+    table = blocks(n, np.arange(digraph_count(n - 1), dtype=np.int64)).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _check_order(n: int) -> None:
+    if not 0 <= n <= TABLE_MAX_N:
+        raise ValueError(f"lookup tables cover orders 0..{TABLE_MAX_N}, got n={n}")
 
 
 # -- index remaps ---------------------------------------------------------------
@@ -197,40 +241,80 @@ def any_induced(table: np.ndarray, k: int, d: Digraph) -> bool:
 # -- semi-strict chordality -------------------------------------------------------
 
 
-def _arc_matrix(n: int, idx: np.ndarray) -> np.ndarray:
-    """arc[x][y] boolean columns over the rows idx: is the arc x->y present.
-    Slot 0 is the most significant base-4 digit."""
+def _masks(n: int, idx: np.ndarray) -> tuple[list, list]:
+    """out[x] and inn[x], x < n: the out- and in-neighbour bitmasks of
+    vertex x in digraph_from_index(n, i) for each i in idx."""
     m = n * (n - 1) // 2
-    arc = np.zeros((n, n, idx.size), dtype=bool)
+    out, inn = [idx & 0 for _ in range(n)], [idx & 0 for _ in range(n)]
     for s, (i, j) in enumerate(pair_slots(n)):
         code = idx >> 2 * (m - 1 - s)
-        arc[i][j] = code & 1
-        arc[j][i] = code & 2
-    return arc
+        ij, ji = code & 1, code >> 1 & 1
+        out[i] |= ij << j
+        inn[j] |= ij << i
+        out[j] |= ji << i
+        inn[i] |= ji << j
+    return out, inn
 
 
-def _semi_strict_simplicial(n: int, arc: np.ndarray, v: int) -> np.ndarray:
-    """Is v semi-strict di-simplicial: every in-neighbour u and out-neighbour
-    w != u of v joined by a digon."""
-    ok = np.ones(arc.shape[2], dtype=bool)
-    for u in range(n):
-        if u == v:
-            continue
-        bad = np.zeros_like(ok)
-        for w in range(n):
-            if w not in (u, v):
-                bad |= arc[v][w] & ~(arc[u][w] & arc[w][u])
-        ok &= ~(arc[u][v] & bad)
-    return ok
+def _not_simplicial(out: list, inn: list, v: int) -> np.ndarray:
+    """Rows where v is not semi-strict di-simplicial: some in-neighbour u
+    and out-neighbour w != u of v are not joined by a digon."""
+    bad = np.zeros(np.shape(out[v]), dtype=bool)
+    for u in range(len(out)):
+        if u != v:
+            bad |= ((inn[v] >> u & 1) != 0) & ((out[v] & ~(out[u] & inn[u] | 1 << u)) != 0)
+    return bad
 
 
-def _semi_strict_rows(n: int, idx: np.ndarray) -> np.ndarray:
-    arc = _arc_matrix(n, idx)
-    smaller = semi_strict_table(n - 1)
-    acc = np.zeros(idx.size, dtype=bool)
-    for v in range(n):
-        acc |= _semi_strict_simplicial(n, arc, v) & smaller[deleted_index(n, v, idx)]
+def _semi_strict_block(n: int, parents: np.ndarray) -> np.ndarray:
+    """T_n over the extension blocks of the order-(n-1) indices `parents`:
+    row k is T_n[parents[k]*4^(n-1) : (parents[k]+1)*4^(n-1)].
+
+    With L = n-1 the last vertex, each D = P+o of a block satisfies
+    T_n[D] = OR_{v<L} simp_v(D) & E[v][deleted_index(n-1, v, p)][o]
+             | simp_L(D) & T_{n-1}[p].
+    simp_v(D) for v < L holds when v is simplicial in P and neither
+    L -> v -> w nor u -> v -> L has a w or u that is not digon-joined to L.
+    simp_L(D) holds when no in-neighbour u of L sees an out-neighbour
+    w != u of L that is not digon-joined to u in P.  Each such test asks
+    about one bitmask m of P's vertices and the last vertex's digits o,
+    and is read from a 2^(n-1) x 4^(n-1) table, one row per parent."""
+    last = n - 1
+    before = semi_strict_table(n - 1)
+    extensions = _extensions(before, n)
+    out, inn = _masks(last, parents)
+    offsets = np.arange(block_size(n), dtype=np.int64)
+    out_o, inn_o = _masks(n, offsets)  # only the pairs at L are set
+    subsets = np.arange(1 << last, dtype=np.int64)[:, None]
+    loose = (subsets & ~(out_o[last] & inn_o[last])) != 0  # m holds a vertex not digon-joined to L
+    reach = (subsets & out_o[last]) != 0  # L has an out-neighbour in m
+
+    def to_last(x):
+        return (inn_o[last] >> x & 1) != 0
+
+    def from_last(x):
+        return (out_o[last] >> x & 1) != 0
+
+    acc = np.zeros((parents.size, offsets.size), dtype=bool)
+    row, part = np.empty_like(acc), np.empty_like(acc)
+    for v in range(last):
+        _gather(extensions[v], deleted_index(n - 1, v, parents), row)
+        row &= ~_not_simplicial(out, inn, v)[:, None]
+        row &= _gather(~(loose & from_last(v)), out[v], part)  # L -> v -> w
+        row &= _gather(~(loose & to_last(v)), inn[v], part)  # u -> v -> L
+        acc |= row
+    full = (1 << last) - 1
+    row[:] = before[parents][:, None]
+    for u in range(last):  # u -> L -> w
+        row &= _gather(~(reach & to_last(u)), full & ~(out[u] & inn[u] | 1 << u), part)
+    acc |= row
     return acc
+
+
+def _gather(table: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[k] = table[idx[k]], written in place.  The indices are in range;
+    mode="clip" only keeps numpy from copying through a buffer."""
+    return np.take(table, idx, axis=0, out=out, mode="clip")
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +322,7 @@ def semi_strict_table(n: int) -> np.ndarray:
     """T_n[i] == is_chordal(digraph_from_index(n, i), SEMI_STRICT)."""
     if n == 0:
         return np.ones(1, dtype=bool)
-    return _table(n, _semi_strict_rows)
+    return _block_table(n, _semi_strict_block)
 
 
 # -- obstruction families -----------------------------------------------------
@@ -273,11 +357,21 @@ def _base(family: str, n: int) -> np.ndarray:
     return np.fromiter(base, dtype=np.int64, count=len(base))
 
 
-def _containment_rows(family: str, n: int, idx: np.ndarray) -> np.ndarray:
-    acc = np.isin(idx, _base(family, n))
-    smaller = containment_table(family, n - 1)
-    for v in range(n):
-        acc |= smaller[deleted_index(n, v, idx)]
+def _containment_block(family: str, n: int, parents: np.ndarray) -> np.ndarray:
+    """C_n over the extension blocks of the ascending order-(n-1) indices
+    `parents`, as in `_semi_strict_block`: C_{n-1}[p] | OR_{v<n-1}
+    E[v][deleted_index(n-1, v, p)], then the base members in those blocks."""
+    size = block_size(n)
+    before = containment_table(family, n - 1)
+    extensions = _extensions(before, n)
+    acc = np.repeat(before[parents][:, None], size, axis=1)
+    row = np.empty_like(acc)
+    for v in range(n - 1):
+        acc |= _gather(extensions[v], deleted_index(n - 1, v, parents), row)
+    base = _base(family, n)
+    rows = np.searchsorted(parents, base // size).clip(max=parents.size - 1)
+    hit = parents[rows] == base // size
+    acc[rows[hit], base[hit] % size] = True
     return acc
 
 
@@ -286,7 +380,7 @@ def containment_table(family: str, n: int) -> np.ndarray:
     """C_n[i] == digraph_from_index(n, i) has an induced member of `family`."""
     if n == 0:
         return np.zeros(1, dtype=bool)
-    return _table(n, partial(_containment_rows, family))
+    return _block_table(n, partial(_containment_block, family))
 
 
 # -- class membership -------------------------------------------------------------

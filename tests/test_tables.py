@@ -107,6 +107,13 @@ def test_greedy_table_n5_count():
     assert int(semi_strict_table(5).sum()) == 358_302
 
 
+@pytest.mark.parametrize(
+    "family, count", [("fig1", 434_938), ("dicycle", 266_388), ("lollipop", 30)]
+)
+def test_containment_table_n5_counts(family, count):
+    assert int(containment_table(family, 5).sum()) == count
+
+
 @pytest.mark.parametrize("family", sorted(DETECTORS))
 @pytest.mark.parametrize("n", ORDERS)
 def test_containment_table_matches_detector(family, n):
