@@ -50,7 +50,7 @@ runs all three recurrences on these views:
 
 The T and C builders take an explicit ascending parents array, so they
 also evaluate pieces of order TABLE_MAX_N + 1, which no table holds; each
-call builds the order-(n-1) views, 20 MB at n=6.  The tables up to
+call builds the order-(n-1) views, 21 MB at n=6.  The tables up to
 TABLE_MAX_N are built in one piece, a few 4^(n(n-1)/2)-byte buffers: at
 n=5 about 3 MB at once, freed after the build (see `_block_table` for
 why one piece).
@@ -288,25 +288,20 @@ def _semi_strict_block(n: int, parents: np.ndarray) -> np.ndarray:
     subsets = np.arange(1 << last, dtype=np.int64)[:, None]
     loose = (subsets & ~(out_o[last] & inn_o[last])) != 0  # m holds a vertex not digon-joined to L
     reach = (subsets & out_o[last]) != 0  # L has an out-neighbour in m
-
-    def to_last(x):
-        return (inn_o[last] >> x & 1) != 0
-
-    def from_last(x):
-        return (out_o[last] >> x & 1) != 0
-
+    to_last = [(inn_o[last] >> x & 1) != 0 for x in range(last)]  # x -> L, per o
+    from_last = [(out_o[last] >> x & 1) != 0 for x in range(last)]  # L -> x
     acc = np.zeros((parents.size, offsets.size), dtype=bool)
     row, part = np.empty_like(acc), np.empty_like(acc)
     for v in range(last):
         _gather(extensions[v], deleted_index(n - 1, v, parents), row)
         row &= ~_not_simplicial(out, inn, v)[:, None]
-        row &= _gather(~(loose & from_last(v)), out[v], part)  # L -> v -> w
-        row &= _gather(~(loose & to_last(v)), inn[v], part)  # u -> v -> L
+        row &= _gather(~(loose & from_last[v]), out[v], part)  # L -> v -> w
+        row &= _gather(~(loose & to_last[v]), inn[v], part)  # u -> v -> L
         acc |= row
     full = (1 << last) - 1
     row[:] = before[parents][:, None]
     for u in range(last):  # u -> L -> w
-        row &= _gather(~(reach & to_last(u)), full & ~(out[u] & inn[u] | 1 << u), part)
+        row &= _gather(~(reach & to_last[u]), full & ~(out[u] & inn[u] | 1 << u), part)
     acc |= row
     return acc
 
@@ -369,9 +364,9 @@ def _containment_block(family: str, n: int, parents: np.ndarray) -> np.ndarray:
     for v in range(n - 1):
         acc |= _gather(extensions[v], deleted_index(n - 1, v, parents), row)
     base = _base(family, n)
-    rows = np.searchsorted(parents, base // size).clip(max=parents.size - 1)
-    hit = parents[rows] == base // size
-    acc[rows[hit], base[hit] % size] = True
+    owner = base // size
+    hit = np.isin(owner, parents)  # over the base members, not the rows
+    acc[np.searchsorted(parents, owner[hit]), base[hit] % size] = True
     return acc
 
 

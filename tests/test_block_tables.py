@@ -153,6 +153,13 @@ def test_order6_containment_blocks_equal_the_rows(family):
         assert np.isin(idx, _base(family, 6)).any()
 
 
+def test_blocks_of_no_parents_are_empty():
+    none = np.zeros(0, dtype=np.int64)
+    assert _semi_strict_block(5, none).shape == (0, 4**4)
+    for family in FAMILIES:
+        assert _containment_block(family, 5, none).shape == (0, 4**4)
+
+
 # -- piece size --------------------------------------------------------------------
 
 
@@ -206,8 +213,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
 def test_warm_theorem4_scans_take_no_page_faults():
     # the one-piece build frees 1 MB buffers, which lifts glibc's mmap
-    # threshold above the scan's 512 KB chunk arrays; built in CHUNK-row
-    # pieces, 50 warm scans took 13,000-23,000 minor faults
+    # threshold above the scan's 512 KB chunk arrays; with the tables built
+    # in 256-parent pieces, 50 warm scans took about 13,000 minor faults
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", WARM_FAULTS], capture_output=True, text=True, env=env, timeout=120
