@@ -26,6 +26,7 @@ from .digraph import (
     _labels,
     bits,
     dot_chunks,
+    dot_quote,
     enumerate_digraphs,
     induced,
     parse_labeled,
@@ -34,7 +35,6 @@ from .digraph import (
     serialize_chunks,
 )
 from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
-from .verify import CHECKS, _check_samples
 
 _VARIANTS = {v.value: v for v in Variant}
 
@@ -205,13 +205,30 @@ def _knot_json(table: knotting._ClassTable) -> Iterator[str]:
     yield "\n}\n"
 
 
+def _knot_dot(table: knotting._ClassTable, labels: list[str]) -> Iterator[str]:
+    """`knot --dot`: the text of `knotting.to_dot(knotting_graph(d), names)`,
+    one line at a time."""
+    groups, in_idx, out_idx = table
+    yield "graph K {\n"
+    for v, group in enumerate(groups):
+        lab = dot_quote(labels[v])
+        yield f'  subgraph cluster_{v} {{\n    label="{lab}";\n'
+        for i in range(1, len(group) + 1):
+            yield f'    c{v}_{i} [label="{lab}^{i}"];\n'
+        yield "  }\n"
+    for u, heads in enumerate(out_idx):
+        for w, i in heads.items():
+            yield f"  c{u}_{i} -- c{w}_{in_idx[w][u]};\n"
+    yield "}\n"
+
+
 def cmd_knot(args) -> int:
-    d, names, labels = _read_digraph(args.input)
-    if args.dot:
-        sys.stdout.write(knotting.to_dot(knotting.knotting_graph(d), names))
-        return 0
+    d, _, labels = _read_digraph(args.input)
     table = knotting._class_table(d)
-    _write_lines(_knot_json(table) if args.json else _knot_text(table, labels))
+    if args.dot:
+        _write_lines(_knot_dot(table, labels))
+    else:
+        _write_lines(_knot_json(table) if args.json else _knot_text(table, labels))
     return 0
 
 
@@ -268,6 +285,8 @@ def cmd_forbidden(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import CHECKS, _check_samples  # numpy: only this command loads it
+
     if args.check not in CHECKS:
         print(
             f"unknown check {args.check!r}; choose from {', '.join(sorted(CHECKS))}",

@@ -117,21 +117,22 @@ def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
             yield idx[keep(n, idx)]
         return
     size = block_size(n)
-    offsets = np.arange(size, dtype=np.int64)
+    shift = 2 * (n - 1)  # size == 1 << shift
     per_chunk = CHUNK // size
     members, extensions = _block_rule(keep, n)
     for parents in index_chunks(start // size, -(-stop // size)):
         parents = parents[members[parents]]
         for lo in range(0, parents.size, per_chunk):
             block = parents[lo : lo + per_chunk]
-            idx = (block[:, None] * size + offsets).ravel()
             # the block rule: one row gather per deleted vertex
             ok = extensions[0][deleted_index(n - 1, 0, block)]
             for v in range(1, n - 1):
                 ok &= extensions[v][deleted_index(n - 1, v, block)]
-            ok = ok.ravel()
-            a, b = np.searchsorted(idx, start), np.searchsorted(idx, stop)
-            yield idx[a:b][ok[a:b]]
+            # only the kept rows get an index: position k of the flattened
+            # blocks is row k & (size - 1) of parent block[k >> shift]
+            k = np.flatnonzero(ok)
+            idx = block[k >> shift] * size + (k & (size - 1))
+            yield idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)]
 
 
 @lru_cache(maxsize=4)

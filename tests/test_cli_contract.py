@@ -12,7 +12,7 @@ import pytest
 
 from dichordal import cli, verify
 from dichordal.classes import generate_locally_semicomplete, generate_wqt
-from dichordal.cli import CHECKS, build_parser, main
+from dichordal.cli import build_parser, main
 from dichordal.digraph import (
     MAX_VERTICES,
     Digraph,
@@ -27,6 +27,7 @@ from dichordal.digraph import (
     serialize_chunks,
     to_dot,
 )
+from dichordal.verify import CHECKS
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
