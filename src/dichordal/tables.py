@@ -63,10 +63,11 @@ the order-(n-1) members are expanded (at n=5, 1,246 weakly
 quasi-transitive blocks: 318,976 rows instead of 4^10), and a whole block
 is decided by M's recurrence above.  M is built through the prefilter and
 cached with its views per (prefilter, order), four entries at most: about
-70 KB at n=5 and 22 MB at n=6.  The blocks are then clipped to the range.
-The parents ascend and their blocks are disjoint and ascending, so the
-rows come out in ascending index order, exactly as filtering every index
-would give them.
+70 KB at n=5 and 22 MB at n=6.  Only the rows the rule keeps get an index
+(82,012 of the 318,976 at n=5), which is then clipped to the range.  The
+parents ascend and their blocks are disjoint and ascending, so the rows
+come out in ascending index order, exactly as filtering every index would
+give them.
 """
 
 from __future__ import annotations
@@ -175,9 +176,10 @@ def _block_table(n: int, blocks) -> np.ndarray:
 
     One piece keeps warm scans free of page faults: at n=5 it frees 1 MB
     buffers, and glibc then raises its dynamic mmap threshold above the
-    512 KB int64 arrays of a CHUNK-row scan, which so come from the heap.
-    Built in CHUNK-row pieces, nothing that large is freed, and those
-    arrays are mapped and faulted in afresh on every warm pass."""
+    int64 kept-row arrays of a scan chunk (up to about 160 KB at n=5,
+    over the 128 KB default), which so come from the heap.  Built in
+    CHUNK-row pieces, nothing that large is freed, and those arrays are
+    mapped and faulted in afresh on every warm pass."""
     _check_order(n)
     table = blocks(n, np.arange(digraph_count(n - 1), dtype=np.int64)).ravel()
     table.flags.writeable = False

@@ -26,9 +26,10 @@ instances (or blocks) costs nothing extra.  A job runs one of two workers:
   Digraph is built except to print a counterexample.  Its one row source
   is `tables.block_chunks`.  Below order 4 it filters each index through
   the prefilter.  From order 4 only the extension blocks of the
-  order-(n-1) members are expanded and clipped to [start, stop): the
-  prefilter gives the whole order-(n-1) table once per process, and each
-  block is decided from it by one row gather per deleted vertex.
+  order-(n-1) members are read: the prefilter gives the whole order-(n-1)
+  table once per process, each block is decided from it by one row gather
+  per deleted vertex, and only the kept rows get an index, clipped to
+  [start, stop).
   Ascending parents give ascending rows, so the counterexamples keep their
   index order for every shard and worker count.
 

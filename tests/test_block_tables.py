@@ -213,8 +213,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
 def test_warm_theorem4_scans_take_no_page_faults():
     # the one-piece build frees 1 MB buffers, which lifts glibc's mmap
-    # threshold above the scan's 512 KB chunk arrays; with the tables built
-    # in 256-parent pieces, 50 warm scans took about 13,000 minor faults
+    # threshold above the scan's kept-row arrays (up to about 160 KB per
+    # chunk); with the tables built in 256-parent pieces, 50 warm scans
+    # took about 13,700 minor faults
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", WARM_FAULTS], capture_output=True, text=True, env=env, timeout=120

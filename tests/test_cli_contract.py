@@ -6,7 +6,10 @@ import inspect
 import io
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,8 @@ from dichordal.digraph import (
     to_dot,
 )
 from dichordal.verify import CHECKS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
@@ -386,3 +391,36 @@ def test_dot_chunks_hold_one_column_at_a_time():
     assert size > 500_000
     # the joined text alone is `size` bytes; the list of lines was ~10x that
     assert peak < size // 10
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+from dichordal import cli
+loaded = ["numpy" in sys.modules]
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv.split())
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_commands_other_than_verify_load_no_numpy():
+    # numpy is most of the CLI's import time; only `verify` reads the tables
+    ex1 = ROOT / "demos" / "data" / "example1.dg"
+    commands = [
+        f"recognize --variant all {ex1}",
+        f"knot --dot {ex1}",
+        f"classify {ex1}",
+        f"forbidden {ex1}",
+        "gen --class wqt --seed 3",
+        "enumerate --n 3 --filter wqt",
+        "verify --check theorem4 --n 2",  # the probe sees numpy once it loads
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *commands],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str([False] * len(commands) + [True]) + "\n"

@@ -235,7 +235,7 @@ def knot_inputs(tmp_path):
     yield path, d, names
 
 
-@pytest.mark.parametrize("flag", ["", "--json"])
+@pytest.mark.parametrize("flag", ["", "--json", "--dot"])
 def test_knot_builds_no_class_or_edge_objects(tmp_path, monkeypatch, flag):
     cases = [
         (path, captured(ref_knot, d, names, flag)) for path, d, names in knot_inputs(tmp_path)
@@ -273,3 +273,16 @@ def test_knot_json_equals_json_dumps_of_the_graph(tmp_path, d):
     path.write_text(serialize(d))
     want = knot_json_document(knotting.knotting_graph(d))
     assert captured(main, ["knot", "--json", str(path)]) == (0, want)
+
+
+@pytest.mark.parametrize("d, names", [
+    (random_digraph(300, (1, 1, 1, 1), seed=23), {}),
+    (build(0, []), {}),
+    (build(4, [(0, 1), (1, 0), (1, 2)]), {}),  # vertex 3 is isolated
+    (build(3, [(0, 1), (1, 2), (2, 1)]), {0: 'a"b', 1: "c\\", 2: 'say "x\\y"'}),
+], ids=["dense-300", "n0", "isolated", "quoted-names"])
+def test_knot_dot_equals_to_dot_of_the_graph(tmp_path, d, names):
+    path = tmp_path / "in.dg"
+    path.write_text(serialize(d, names))
+    want = knotting.to_dot(knotting.knotting_graph(d), names)
+    assert captured(main, ["knot", "--dot", str(path)]) == (0, want)
