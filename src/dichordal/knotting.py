@@ -30,9 +30,9 @@ and records the 1-based index of the class holding each arc at its tail
 and at its head, under the arc's far end.  `knotting_graph` builds its
 `SplittingClass` and `KnottingEdge` objects from the table: each arc
 (u, w) of `d.arcs()` becomes the edge from u's class of out-arc w to w's
-class of in-arc u.  The CLI's `knot` text and `--json` writers read the
-table directly and build neither object, and so does `--dot`;
-`to_dot(knotting_graph(d))` is the library route to the same text.
+class of in-arc u.  The CLI's `knot` writers (text, `--json` and
+`--dot`) read the table directly and build neither object;
+`to_dot(knotting_graph(d))` is the library route to the same DOT text.
 
 The same routine evaluates v inside any induced subdigraph D[S] without
 building it: restrict in(v) and out(v) to S.  That is exact because

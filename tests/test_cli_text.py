@@ -279,7 +279,7 @@ def test_knot_json_equals_json_dumps_of_the_graph(tmp_path, d):
     (random_digraph(300, (1, 1, 1, 1), seed=23), {}),
     (build(0, []), {}),
     (build(4, [(0, 1), (1, 0), (1, 2)]), {}),  # vertex 3 is isolated
-    (build(3, [(0, 1), (1, 2), (2, 1)]), {0: 'a"b', 1: "c\\", 2: 'say "x\\y"'}),
+    (build(3, [(0, 1), (1, 2), (2, 1), (2, 0)]), {0: 'a"b', 1: "c\\", 2: 'say "x\\y"'}),
 ], ids=["dense-300", "n0", "isolated", "quoted-names"])
 def test_knot_dot_equals_to_dot_of_the_graph(tmp_path, d, names):
     path = tmp_path / "in.dg"
