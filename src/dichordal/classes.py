@@ -156,11 +156,16 @@ def _transitive_oriented_violation(d: Digraph):
     digon = _oriented_violation(d)
     if digon is not None:
         return digon
-    for u in range(d.n):
-        for v in bits(d.out_masks[u]):
-            missing = d.out_masks[v] & ~d.out_masks[u] & ~(1 << u)
-            if missing:
-                return (u, v, (missing & -missing).bit_length() - 1)
+    out = d.out_masks
+    for u, out_u in enumerate(out):
+        reach = 0  # the out-neighbours of u's out-neighbours
+        for v in bits(out_u):
+            reach |= out[v]
+        if reach & ~(out_u | 1 << u):  # u misses one of them: find the first witness
+            for v in bits(out_u):
+                missing = out[v] & ~out_u & ~(1 << u)
+                if missing:
+                    return (u, v, (missing & -missing).bit_length() - 1)
     return None
 
 

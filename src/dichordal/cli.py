@@ -53,10 +53,11 @@ _CHUNK = 1024  # pieces per write
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write pieces of text, usually lines, to stdout, _CHUNK pieces per write."""
+    """Write pieces of text (lines, or one vertex's lines) to stdout, _CHUNK
+    pieces per write."""
     it = iter(lines)
-    while chunk := "".join(islice(it, _CHUNK)):
-        sys.stdout.write(chunk)
+    while chunk := list(islice(it, _CHUNK)):  # a piece may be empty
+        sys.stdout.write("".join(chunk))
 
 
 # -- recognize / order ---------------------------------------------------------
@@ -131,31 +132,38 @@ def cmd_order(args) -> int:
 # -- knot ------------------------------------------------------------------------
 
 
-def _member_arcs(v: int, cls_in: int, cls_out: int) -> list[tuple[int, int]]:
-    """The member arcs of v's class (cls_in, cls_out) in sorted order: the
-    in-arcs from below v, then the out-arcs, then the in-arcs from above v."""
-    below = (1 << v) - 1
-    return (
-        [(u, v) for u in bits(cls_in & below)]
-        + [(v, w) for w in bits(cls_out)]
-        + [(u, v) for u in bits(cls_in & ~below)]
-    )
+def _sorted_members(v: int, cls_in: int, ins: list, outs: list) -> list:
+    """The members of v's class in sorted arc order, given `ins` and `outs`,
+    one item per in-arc and per out-arc in far-end order: the in-arcs from
+    below v, then the out-arcs, then the in-arcs from above v."""
+    k = (cls_in & ((1 << v) - 1)).bit_count()
+    return ins[:k] + outs + ins[k:]
 
 
 def _knot_text(table: knotting._ClassTable, labels: list[str]) -> Iterator[str]:
-    """`knot`'s text lines: each class with its member arcs in sorted order,
-    each arc's edge in `d.arcs()` order, then the counts."""
-    groups, in_idx, out_idx = table
+    """`knot`'s text, one chunk per vertex: each class with its member arcs
+    in sorted order, each arc's edge in `d.arcs()` order, then the counts."""
+    groups, rows = table
     names = [[f"{lab}^{i}" for i in range(1, len(g) + 1)] for lab, g in zip(labels, groups)]
-    for v, group in enumerate(groups):
-        for name, cls in zip(names[v], group):
-            members = ", ".join([f"{labels[u]}->{labels[w]}" for u, w in _member_arcs(v, *cls)])
-            yield f"{name} = {{{members}}}\n"
-    for u, heads in enumerate(out_idx):
+    for v, (lab, group) in enumerate(zip(labels, groups)):
+        yield "".join([
+            f"{name} = {{"
+            + ", ".join(_sorted_members(
+                v, cls_in,
+                [f"{labels[u]}->{lab}" for u in bits(cls_in)],
+                [f"{lab}->{labels[w]}" for w in bits(cls_out)],
+            ))
+            + "}\n"
+            for name, (cls_in, cls_out) in zip(names[v], group)
+        ])
+    edges = 0
+    for u, row in enumerate(rows):
         lab, at_u = labels[u], names[u]
-        for w, i in heads.items():
-            yield f"{at_u[i - 1]} -- {names[w][in_idx[w][u] - 1]}   [{lab}->{labels[w]}]\n"
-    yield f"{sum(map(len, groups))} classes, {sum(map(len, out_idx))} edges\n"
+        edges += len(row)
+        yield "".join([
+            f"{at_u[i - 1]} -- {names[w][j - 1]}   [{lab}->{labels[w]}]\n" for w, i, j in row
+        ])
+    yield f"{sum(map(len, groups))} classes, {edges} edges\n"
 
 
 def _json_array(items: Iterable[Iterable[str]], indent: str) -> Iterator[str]:
@@ -183,21 +191,21 @@ def _knot_json(table: knotting._ClassTable) -> Iterator[str]:
     """`knot --json`: the document `json.dumps(.., indent=2)` prints for
     {"classes": [{"owner", "index", "members"}, ...], "edges": [{"arc", "a", "b"}, ...]},
     written one member arc or edge at a time."""
-    groups, in_idx, out_idx = table
+    groups, rows = table
     classes = (
         chain(
             (_JSON_CLASS % (v, idx),),
-            _json_array(((_JSON_ARC % arc,) for arc in _member_arcs(v, *cls)), "      "),
+            _json_array(_sorted_members(
+                v, cls_in,
+                [(_JSON_ARC % (u, v),) for u in bits(cls_in)],
+                [(_JSON_ARC % (v, w),) for w in bits(cls_out)],
+            ), "      "),
             ("\n    }",),
         )
         for v, group in enumerate(groups)
-        for idx, cls in enumerate(group, start=1)
+        for idx, (cls_in, cls_out) in enumerate(group, start=1)
     )
-    edges = (
-        (_JSON_EDGE % (u, w, u, i, w, in_idx[w][u]),)
-        for u, heads in enumerate(out_idx)
-        for w, i in heads.items()
-    )
+    edges = ((_JSON_EDGE % (u, w, u, i, w, j),) for u, row in enumerate(rows) for w, i, j in row)
     yield '{\n  "classes": '
     yield from _json_array(classes, "  ")
     yield ',\n  "edges": '
@@ -208,7 +216,7 @@ def _knot_json(table: knotting._ClassTable) -> Iterator[str]:
 def _knot_dot(table: knotting._ClassTable, labels: list[str]) -> Iterator[str]:
     """`knot --dot`: the text of `knotting.to_dot(knotting_graph(d), names)`,
     one line at a time."""
-    groups, in_idx, out_idx = table
+    groups, rows = table
     yield "graph K {\n"
     for v, group in enumerate(groups):
         lab = dot_quote(labels[v])
@@ -216,9 +224,8 @@ def _knot_dot(table: knotting._ClassTable, labels: list[str]) -> Iterator[str]:
         for i in range(1, len(group) + 1):
             yield f'    c{v}_{i} [label="{lab}^{i}"];\n'
         yield "  }\n"
-    for u, heads in enumerate(out_idx):
-        for w, i in heads.items():
-            yield f"  c{u}_{i} -- c{w}_{in_idx[w][u]};\n"
+    for u, row in enumerate(rows):
+        yield "".join([f"  c{u}_{i} -- c{w}_{j};\n" for w, i, j in row])
     yield "}\n"
 
 

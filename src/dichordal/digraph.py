@@ -471,7 +471,12 @@ def parse(text: str) -> Digraph:
 
 
 def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
-    """Parse the text format, returning the digraph and any vertex names."""
+    """Parse the text format, returning the digraph and any vertex names.
+
+    The neighbourhood masks are filled line by line.  The first arc that
+    `build` would refuse is kept and raised through `build` after the arc
+    count is checked, so the errors and their order are `build`'s.
+    """
     lines = [s for s in map(str.strip, text.splitlines()) if s]
     if not lines:
         raise ValueError("empty digraph text")
@@ -485,7 +490,10 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
     if n < 0 or m < 0:
         raise ValueError("header counts must be nonnegative")
     check_vertex_count(n)
-    arcs = []
+    out = [0] * n
+    inn = [0] * n
+    count = 0
+    refused = None  # the first arc build() would refuse
     names: dict[int, str] = {}
     for ln in lines[1:]:
         if ln.startswith("#"):
@@ -507,10 +515,17 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"malformed arc line {ln!r}") from None
-        arcs.append((u, v))
-    if len(arcs) != m:
-        raise ValueError(f"header promises {m} arcs, found {len(arcs)}")
-    return build(n, arcs), names  # build() re-validates range and loops
+        count += 1
+        if 0 <= u < n and 0 <= v < n and u != v:
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+        elif refused is None:
+            refused = (u, v)
+    if count != m:
+        raise ValueError(f"header promises {m} arcs, found {count}")
+    if refused is not None:
+        build(n, [refused])  # raises build's error for that arc
+    return _from_masks(tuple(out), tuple(inn)), names
 
 
 def _labels(n: int, names: Mapping[int, str] | None) -> list[str]:

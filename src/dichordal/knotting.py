@@ -22,16 +22,25 @@ is a pair (in_mask, out_mask) holding the far ends of its in-arcs and
 out-arcs.  An in-arc from u is directly compatible with exactly the
 out-arcs to `out(v) & ~digon(u) & ~{u}`, and an out-arc to w with the
 in-arcs from `in(v) & ~digon(w) & ~{w}`, so a breadth-first search that
-expands each arc once finds every class in O(deg) mask operations.
+expands each arc at most once finds every class in O(deg) mask
+operations.  Early stop: an arc leaves its free mask as soon as an
+expansion reaches it, and the search stops expanding one side once the
+other side has no free arc left, since the remaining arcs of that side
+can reach nothing more.  On a vertex whose arcs form one class, as in a
+tournament or a dense random digraph, the first in-arc reaches the free
+out-arcs and the first out-arc the free in-arcs, so the class closes
+after a few expansions instead of one per arc.
 
 One class table (`_class_table`) reads each vertex's class masks once.
 It keeps them as mask pairs, an arcless vertex owning one empty class,
-and records the 1-based index of the class holding each arc at its tail
-and at its head, under the arc's far end.  `knotting_graph` builds its
-`SplittingClass` and `KnottingEdge` objects from the table: each arc
-(u, w) of `d.arcs()` becomes the edge from u's class of out-arc w to w's
-class of in-arc u.  The CLI's `knot` writers (text, `--json` and
-`--dot`) read the table directly and build neither object;
+and lists each arc with the 1-based indices of its classes at its tail
+and at its head, in `d.arcs()` order.  One-class rule: a vertex with a
+single class holds every arc end in class 1, so far-end index maps are
+built only at vertices with two or more classes.  `knotting_graph`
+builds its `SplittingClass` and `KnottingEdge` objects from the table:
+each arc (u, w) of `d.arcs()` becomes the edge from u's class of
+out-arc w to w's class of in-arc u.  The CLI's `knot` writers (text,
+`--json` and `--dot`) read the table directly and build neither object;
 `to_dot(knotting_graph(d))` is the library route to the same DOT text.
 
 The same routine evaluates v inside any induced subdigraph D[S] without
@@ -123,20 +132,20 @@ def _class_masks(d: Digraph, v: int, alive: int) -> Iterator[tuple[int, int]]:
         free_out ^= todo_out
         cls_in, cls_out = todo_in, todo_out
         while todo_in or todo_out:
-            reach_in = reach_out = 0
-            while todo_in:  # in-arc from u: out-arcs to out(v) & ~digon(u) & ~{u}
+            was_in, was_out = free_in, free_out
+            # an arc leaves its free mask as soon as it is reached, and a side
+            # stops once the other side has no free arc left to reach
+            while todo_in and free_out:  # in-arc from u: out-arcs to out(v) & ~digon(u) & ~{u}
                 low = todo_in & -todo_in
-                reach_out |= free_out & ~(digon[low.bit_length() - 1] | low)
+                free_out &= digon[low.bit_length() - 1] | low
                 todo_in ^= low
-            while todo_out:  # out-arc to w: in-arcs from in(v) & ~digon(w) & ~{w}
+            while todo_out and free_in:  # out-arc to w: in-arcs from in(v) & ~digon(w) & ~{w}
                 low = todo_out & -todo_out
-                reach_in |= free_in & ~(digon[low.bit_length() - 1] | low)
+                free_in &= digon[low.bit_length() - 1] | low
                 todo_out ^= low
-            free_in &= ~reach_in
-            free_out &= ~reach_out
-            cls_in |= reach_in
-            cls_out |= reach_out
-            todo_in, todo_out = reach_in, reach_out
+            todo_in, todo_out = was_in ^ free_in, was_out ^ free_out
+            cls_in |= todo_in
+            cls_out |= todo_out
         yield cls_in, cls_out
 
 
@@ -157,25 +166,37 @@ def _vertex_classes(d: Digraph, v: int) -> list[tuple[int, int]]:
     return list(_class_masks(d, v, (1 << d.n) - 1)) or [(0, 0)]
 
 
-_ClassTable = tuple[list[list[tuple[int, int]]], list[dict[int, int]], list[dict[int, int]]]
+_ClassTable = tuple[list[list[tuple[int, int]]], Iterator[list[tuple[int, int, int]]]]
 
 
 def _class_table(d: Digraph) -> _ClassTable:
     """Every vertex's splitting classes and every arc's class at each end.
 
-    Returns (groups, in_idx, out_idx): groups[v] lists v's classes as
-    `_vertex_classes` pairs, indexed from 1 in list order; in_idx[w][u] and
-    out_idx[u][w] are the 1-based indices of the classes holding the arc
-    (u, w) at its head w and at its tail u.  out_idx[u] holds u's heads in
-    ascending order, so walking out_idx walks the arcs in `d.arcs()` order.
+    Returns (groups, rows): groups[v] lists v's classes as `_vertex_classes`
+    pairs, indexed from 1 in list order; rows yields, for u = 0, 1, ...,
+    the arcs (u, w) in `d.arcs()` order as (w, i, j), where i and j are the
+    indices of the classes holding the arc at its tail u and at its head w.
+    rows is read once, one tail at a time, so no list of all arcs is held.
+    Far-end index maps are built only at vertices with two or more
+    classes: at a one-class vertex every arc end lies in class 1.
     """
-    groups = [_vertex_classes(d, v) for v in range(d.n)]
-    in_idx = [{u: i for i, (ins, _) in enumerate(g, 1) for u in bits(ins)} for g in groups]
-    out_idx = [
-        dict(sorted([(w, i) for i, (_, outs) in enumerate(g, 1) for w in bits(outs)]))
-        for g in groups
-    ]
-    return groups, in_idx, out_idx
+    groups = []
+    in_idx: list[dict[int, int] | None] = []  # in_idx[w][u]: class of (u, w) at w
+    out_idx: list[dict[int, int] | None] = []  # out_idx[u][w]: class of (u, w) at u
+    for v in range(d.n):
+        group = _vertex_classes(d, v)
+        groups.append(group)
+        if len(group) == 1:
+            in_idx.append(None)
+            out_idx.append(None)
+            continue
+        in_idx.append({u: i for i, (ins, _) in enumerate(group, 1) for u in bits(ins)})
+        out_idx.append({w: i for i, (_, outs) in enumerate(group, 1) for w in bits(outs)})
+    rows = (
+        [(w, outs[w] if outs else 1, in_idx[w][u] if in_idx[w] else 1) for w in bits(heads)]
+        for u, (heads, outs) in enumerate(zip(d.out_masks, out_idx))
+    )
+    return groups, rows
 
 
 def _splitting_classes(v: int, group: list[tuple[int, int]]) -> tuple[SplittingClass, ...]:
@@ -203,16 +224,16 @@ def knotting_graph(d: Digraph) -> KnottingGraph:
     Arc (u, w) becomes the edge between u's class holding it as an out-arc
     and w's class holding it as an in-arc; edges follow `d.arcs()` order.
     """
-    groups, in_idx, out_idx = _class_table(d)
+    groups, rows = _class_table(d)
     classes = tuple(_splitting_classes(v, group) for v, group in enumerate(groups))
     ids = [[cls.id for cls in group] for group in classes]  # one ClassId per class, shared
     return KnottingGraph(
         n=d.n,
         classes=tuple(cls for group in classes for cls in group),
         edges=tuple(
-            KnottingEdge((u, w), ids[u][i - 1], ids[w][in_idx[w][u] - 1])
-            for u, heads in enumerate(out_idx)
-            for w, i in heads.items()
+            KnottingEdge((u, w), ids[u][i - 1], ids[w][j - 1])
+            for u, row in enumerate(rows)
+            for w, i, j in row
         ),
         groups=classes,
     )

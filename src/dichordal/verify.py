@@ -8,7 +8,8 @@ any shard or worker count.  Wall time is kept out of the canonical
 text/JSON output for the same reason.
 
 One function, `_check`, splits each job into at most `shards` non-empty
-ranges, runs them serially or in a process pool and merges the parts,
+ranges, runs them serially or in a process pool (whose module is imported
+only when a pool starts) and merges the parts,
 keeping the first ten counterexamples in order.  It rejects a shard count
 below 1 before it looks at the jobs (a check may have none), and
 `_pool_size` a worker count below 1, before anything runs.  The table scans split
@@ -54,7 +55,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -207,6 +207,8 @@ def _check(
     ]
     pool_size = _pool_size(workers, len(parts))
     if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 20 ms; only a pool needs it
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [pool.submit(worker, *args) for worker, args in parts]
             results = [f.result() for f in futures]

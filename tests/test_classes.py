@@ -10,6 +10,7 @@ from dichordal.classes import (
     _nonuniversal,
     _qt_violation,
     _semicomplete_violation,
+    _transitive_oriented_violation,
     _wqt_violation,
     classify,
     generate_locally_semicomplete,
@@ -286,10 +287,25 @@ def ref_ext_semicomplete_violation(d):
     return None
 
 
+def ref_transitive_oriented_violation(d):
+    # the first digon in slot order, else the first (u, v, w) with u -> v -> w
+    # and no arc u -> w, by loops over the arcs
+    for j in range(d.n):
+        for i in range(j):
+            if d.has_arc(i, j) and d.has_arc(j, i):
+                return (i, j)
+    for u, v in d.arcs():
+        for w in bits(d.out_masks[v]):
+            if w != u and not d.has_arc(u, w):
+                return (u, v, w)
+    return None
+
+
 MASK_SCANS = [
     (_wqt_violation, ref_wqt_violation),
     (_qt_violation, ref_qt_violation),
     (_ext_semicomplete_violation, ref_ext_semicomplete_violation),
+    (_transitive_oriented_violation, ref_transitive_oriented_violation),
 ]
 
 
@@ -348,6 +364,15 @@ def _almost_complete(n, holes, seed):
     return Digraph(n, codes)
 
 
+def _transitive_minus(n, holes, seed):
+    """A transitive tournament on n vertices with `holes` random arcs removed."""
+    rng = random.Random(seed)
+    arcs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for k in sorted(rng.sample(range(len(arcs)), min(holes, len(arcs))), reverse=True):
+        del arcs[k]
+    return build(n, arcs)
+
+
 def test_dense_scans_match_the_loops():
     # every vertex adjacent to all others is skipped by the mask scans;
     # here some vertices are skipped and some are not
@@ -357,6 +382,11 @@ def test_dense_scans_match_the_loops():
     ]
     cases = [_almost_complete(3 + s % 38, s % 4, seed=s) for s in range(400)]
     cases += [build(n, [(i, j) for i in range(n) for j in range(i + 1, n)]) for n in range(8)]
+    # transitive tournaments with a few arcs removed: the transitive-oriented
+    # scan passes most vertices on the union and looks for a witness at some
+    cases += [_transitive_minus(3 + s % 30, s % 3, seed=s) for s in range(120)]
+    transitive = [_transitive_oriented_violation(d) for d in cases]
+    assert transitive.count(None) >= 40 and sum(t is not None and len(t) == 3 for t in transitive) >= 40
     mixed = [d for d in cases if 0 < bin(_nonuniversal(d)).count("1") < d.n]
     assert len(mixed) >= 250
     for d in cases:

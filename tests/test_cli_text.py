@@ -23,7 +23,7 @@ from dichordal.cli import main
 from dichordal.digraph import bits, build, induced, parse_labeled, random_digraph, serialize
 from dichordal.patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 
-from test_knotting_masks import ref_knotting_graph
+from test_knotting_masks import _digon_path, _transitive_tournament, ref_knotting_graph
 
 ALL_VARIANTS = (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
 
@@ -162,6 +162,9 @@ def labelled_inputs():
     for seed in range(13):
         digraphs.append(random_digraph(3 + seed, weights[seed % 4], seed=seed))
     digraphs += [generate_locally_semicomplete(seed, 6 + seed) for seed in range(4)]
+    # an arc's class index differs at its tail and head: two classes at every
+    # vertex of a digon path, n - 1 at the source and sink of a tournament
+    digraphs += [_digon_path(9), _transitive_tournament(7)]
     for i, d in enumerate(digraphs):
         names = {v: LABELS[(v + i) % len(LABELS)].format(v) for v in range(d.n) if v % 3 != 2}
         yield d, names
@@ -221,6 +224,16 @@ def test_stdout_matches_the_per_line_printers(tmp_path, argv, ref):
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
+# every vertex owns two classes, or the source and sink own n - 1 each, so
+# an arc's class index at its tail is not its index at its head
+MANY_CLASSES = [("digon-path-40", _digon_path(40)), ("tournament-30", _transitive_tournament(30))]
+
+
+def test_many_class_inputs_tell_tail_from_head():
+    for name, d in MANY_CLASSES:
+        assert any(e.a[1] != e.b[1] for e in knotting.knotting_graph(d).edges), name
+
+
 def knot_inputs(tmp_path):
     """The demo files and a labelled random digraph with digons and
     isolated vertices (0 and n - 1), as (path, digraph, names)."""
@@ -233,6 +246,10 @@ def knot_inputs(tmp_path):
     path = tmp_path / "digons.dg"
     path.write_text(serialize(d, names))
     yield path, d, names
+    for name, d in MANY_CLASSES:
+        path = tmp_path / f"{name}.dg"
+        path.write_text(serialize(d))
+        yield path, d, {}
 
 
 @pytest.mark.parametrize("flag", ["", "--json", "--dot"])
@@ -248,6 +265,17 @@ def test_knot_builds_no_class_or_edge_objects(tmp_path, monkeypatch, flag):
     monkeypatch.setattr(knotting, "KnottingEdge", refuse)
     for path, want in cases:
         assert captured(main, ["knot", str(path), *([flag] if flag else [])]) == want, path
+
+
+@pytest.mark.parametrize("flag", ["", "--dot"])
+def test_knot_writes_past_a_run_of_vertices_that_send_no_arc(tmp_path, flag):
+    # the edge lines come in one piece per tail, so a piece can be empty;
+    # here vertices 0..2047 send no arc, so some write gets only empty pieces
+    d = build(2050, [(2049, 0), (2048, 2049)])
+    path = tmp_path / "in.dg"
+    path.write_text(serialize(d))
+    argv = ["knot", str(path), *([flag] if flag else [])]
+    assert captured(main, argv) == captured(ref_knot, d, {}, flag)
 
 
 def knot_json_document(k):
@@ -267,7 +295,8 @@ def knot_json_document(k):
     random_digraph(300, (1, 1, 1, 1), seed=23),
     build(0, []),
     build(4, [(0, 1), (1, 0), (1, 2)]),  # vertex 3 is isolated
-], ids=["dense-300", "n0", "isolated"])
+    *[d for _, d in MANY_CLASSES],
+], ids=["dense-300", "n0", "isolated", *[name for name, _ in MANY_CLASSES]])
 def test_knot_json_equals_json_dumps_of_the_graph(tmp_path, d):
     path = tmp_path / "in.dg"
     path.write_text(serialize(d))
@@ -280,7 +309,8 @@ def test_knot_json_equals_json_dumps_of_the_graph(tmp_path, d):
     (build(0, []), {}),
     (build(4, [(0, 1), (1, 0), (1, 2)]), {}),  # vertex 3 is isolated
     (build(3, [(0, 1), (1, 2), (2, 1), (2, 0)]), {0: 'a"b', 1: "c\\", 2: 'say "x\\y"'}),
-], ids=["dense-300", "n0", "isolated", "quoted-names"])
+    *[(d, {}) for _, d in MANY_CLASSES],
+], ids=["dense-300", "n0", "isolated", "quoted-names", *[name for name, _ in MANY_CLASSES]])
 def test_knot_dot_equals_to_dot_of_the_graph(tmp_path, d, names):
     path = tmp_path / "in.dg"
     path.write_text(serialize(d, names))

@@ -303,6 +303,25 @@ def test_parse_rejects_malformed(text):
         assert str(exc.value) == NAMED_LINE[text]
 
 
+# the parser fills the masks line by line and raises the first arc that
+# `build` refuses only after the arc count, so the checks keep their order
+CHECK_ORDER = {
+    "3 2\n0 7\n0 1 2\n": "malformed arc line '0 1 2'",  # out of range, then malformed
+    "3 2\n0 7\n": "header promises 2 arcs, found 1",  # out of range, wrong count
+    "3 2\n1 1\n0 7\n": "loop arc (1,1) not allowed",  # loop, then out of range
+    "3 2\n0 7\n1 1\n": "arc (0,7) has an endpoint outside 0..2",  # out of range, then loop
+    "3 2\n-1 2\n0 1\n# 5 z\n": "label line '# 5 z' names vertex out of range",
+    "0 1\n0 0\n": "arc (0,0) has an endpoint outside 0..-1",
+}
+
+
+@pytest.mark.parametrize("text", CHECK_ORDER)
+def test_parse_errors_keep_their_order(text):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value) == CHECK_ORDER[text]
+
+
 def test_parse_skips_blank_lines_and_strips_each_line():
     text = "\n  3 2 \n\n 0 1\t\n   \n1 2\r\n# 0  a b \n"
     assert parse_labeled(text) == (build(3, [(0, 1), (1, 2)]), {0: "a b"})

@@ -264,6 +264,52 @@ def test_class_masks_match_compatible_bfs_random(n):
                 ), (d, alive, v)
 
 
+def _digon_path(n):
+    # odd labels descending, then even labels ascending
+    order = [v for v in range(n - 1, -1, -1) if v % 2] + list(range(0, n, 2))
+    arcs = []
+    for a, b in zip(order, order[1:]):
+        arcs += [(a, b), (b, a)]
+    return build(n, arcs)
+
+
+def _transitive_tournament(n):
+    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _random_tournament(n, seed):
+    rng = random.Random(seed)
+    return build(n, [(i, j) if rng.random() < 0.5 else (j, i) for j in range(n) for i in range(j)])
+
+
+def early_stop_cases():
+    """Digraphs where the class search stops a side early: most vertices
+    own one class, or a few large ones, so one expansion reaches every
+    free arc of the other side."""
+    for n in (12, 20, 30, 45, 60):
+        yield _transitive_tournament(n)
+        yield _random_tournament(n, seed=n)
+    for n in (12, 25, 40):
+        for weights in ((1, 1, 1, 6), (1, 0, 0, 4), (0, 1, 1, 20), (1, 1, 1, 30)):  # many digons
+            yield random_digraph(n, weights, seed=n)
+
+
+def test_class_masks_match_compatible_bfs_where_the_search_stops_early():
+    rng = random.Random(5)
+    one_class = two_or_more = 0
+    for d in early_stop_cases():
+        full = (1 << d.n) - 1
+        # dense random subsets, and sparse ones where few arcs are left
+        alives = [full, rng.getrandbits(d.n) | rng.getrandbits(d.n), rng.getrandbits(d.n)]
+        for alive in alives:
+            for v in bits(alive):
+                want = bfs_classes(d, v, alive)
+                assert mask_members(v, _class_masks(d, v, alive)) == want, (serialize(d), alive, v)
+                one_class += len(want) == 1 and len(want[0]) > 2
+                two_or_more += len(want) > 1 and max(map(len, want)) > 2
+    assert one_class >= 600 and two_or_more >= 250
+
+
 # -- subset oracles against the induced-object references ---------------------------
 
 
@@ -377,19 +423,6 @@ def test_degree_identity_and_owner_index_exhaustive_n4():
 
 
 # -- `knot` output pinned --------------------------------------------------------------
-
-
-def _digon_path(n):
-    # odd labels descending, then even labels ascending
-    order = [v for v in range(n - 1, -1, -1) if v % 2] + list(range(0, n, 2))
-    arcs = []
-    for a, b in zip(order, order[1:]):
-        arcs += [(a, b), (b, a)]
-    return build(n, arcs)
-
-
-def _transitive_tournament(n):
-    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 # sha256 of `dichordal knot FILE [flag]` stdout, captured from the code that

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,26 @@ def test_counterexamples_recorded_with_sides():
     if r.counterexamples:
         cx = r.counterexamples[0]
         assert {"deleted_vertex", "mismatch", "digraph"} <= set(cx)
+
+
+POOL_PROBE = """
+import os, sys
+from dichordal.verify import check_theorem4
+serial = check_theorem4(4)
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+pooled = check_theorem4(4, shards=2, workers=2)
+print(pooled.to_text() == serial.to_text(), pooled.to_json() == serial.to_json())
+print((os.cpu_count() or 1) < 2 or "concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_one_worker_check_imports_no_process_pool():
+    # the pool machinery costs about 20 ms of every `verify` process's import;
+    # only a check that starts a pool loads it, and the pooled report is the same
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nTrue True\nTrue\n"
