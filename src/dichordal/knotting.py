@@ -33,8 +33,9 @@ after a few expansions instead of one per arc.
 
 One class table (`_class_table`) reads each vertex's class masks once.
 It keeps them as mask pairs, an arcless vertex owning one empty class,
-and lists each arc with the 1-based indices of its classes at its tail
-and at its head, in `d.arcs()` order.  One-class rule: a vertex with a
+and walks the arcs once, tail by tail in `d.arcs()` order, with the
+1-based indices of each arc's classes at its tail and at its head, so no
+list of all arcs is held.  One-class rule: a vertex with a
 single class holds every arc end in class 1, so far-end index maps are
 built only at vertices with two or more classes.  `knotting_graph`
 builds its `SplittingClass` and `KnottingEdge` objects from the table:

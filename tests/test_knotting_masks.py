@@ -264,19 +264,6 @@ def test_class_masks_match_compatible_bfs_random(n):
                 ), (d, alive, v)
 
 
-def _digon_path(n):
-    # odd labels descending, then even labels ascending
-    order = [v for v in range(n - 1, -1, -1) if v % 2] + list(range(0, n, 2))
-    arcs = []
-    for a, b in zip(order, order[1:]):
-        arcs += [(a, b), (b, a)]
-    return build(n, arcs)
-
-
-def _transitive_tournament(n):
-    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def _random_tournament(n, seed):
     rng = random.Random(seed)
     return build(n, [(i, j) if rng.random() < 0.5 else (j, i) for j in range(n) for i in range(j)])
@@ -423,6 +410,19 @@ def test_degree_identity_and_owner_index_exhaustive_n4():
 
 
 # -- `knot` output pinned --------------------------------------------------------------
+
+
+def _digon_path(n):
+    # odd labels descending, then even labels ascending
+    order = [v for v in range(n - 1, -1, -1) if v % 2] + list(range(0, n, 2))
+    arcs = []
+    for a, b in zip(order, order[1:]):
+        arcs += [(a, b), (b, a)]
+    return build(n, arcs)
+
+
+def _transitive_tournament(n):
+    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 # sha256 of `dichordal knot FILE [flag]` stdout, captured from the code that
