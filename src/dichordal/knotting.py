@@ -181,18 +181,16 @@ def _class_table(d: Digraph) -> _ClassTable:
     Far-end index maps are built only at vertices with two or more
     classes: at a one-class vertex every arc end lies in class 1.
     """
-    groups = []
-    in_idx: list[dict[int, int] | None] = []  # in_idx[w][u]: class of (u, w) at w
-    out_idx: list[dict[int, int] | None] = []  # out_idx[u][w]: class of (u, w) at u
-    for v in range(d.n):
-        group = _vertex_classes(d, v)
-        groups.append(group)
-        if len(group) == 1:
-            in_idx.append(None)
-            out_idx.append(None)
-            continue
-        in_idx.append({u: i for i, (ins, _) in enumerate(group, 1) for u in bits(ins)})
-        out_idx.append({w: i for i, (_, outs) in enumerate(group, 1) for w in bits(outs)})
+    groups = [_vertex_classes(d, v) for v in range(d.n)]
+    # in_idx[w][u] and out_idx[u][w]: the class of (u, w) at w and at u
+    in_idx = [
+        {u: i for i, (ins, _) in enumerate(g, 1) for u in bits(ins)} if len(g) > 1 else None
+        for g in groups
+    ]
+    out_idx = [
+        {w: i for i, (_, outs) in enumerate(g, 1) for w in bits(outs)} if len(g) > 1 else None
+        for g in groups
+    ]
     rows = (
         [(w, outs[w] if outs else 1, in_idx[w][u] if in_idx[w] else 1) for w in bits(heads)]
         for u, (heads, outs) in enumerate(zip(d.out_masks, out_idx))
