@@ -253,6 +253,13 @@ def _member_sets(n: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _vertex_set(mask: int) -> frozenset[int]:
+    """The vertices of a mask as a plain set.  `oracle_is_chordal` checks
+    its cap first, so at most 2^ORACLE_MAX_N masks are ever cached."""
+    return frozenset(bits(mask))
+
+
 def oracle_is_chordal(d: Digraph, variant: Variant) -> bool:
     """Literal definition: every nonempty induced subdigraph has a
     di-simplicial vertex.  Exponential; capped at ORACLE_MAX_N vertices.
@@ -260,13 +267,17 @@ def oracle_is_chordal(d: Digraph, variant: Variant) -> bool:
     All 2^n subsets are decided together as bits of one integer (see the
     section comment): v is di-simplicial in D[S] exactly when S contains v
     and no failing pair (u, w) of v in D lies inside S, because D[S] keeps
-    the adjacency between u and w.  No induced subdigraph is built.
+    the adjacency between u and w.  No induced subdigraph is built.  The
+    plain neighbour sets that `_failing_pairs` reads come from the
+    mask-keyed cache `_vertex_set`, so a call builds no frozenset of its
+    own: `in_neighbors`/`out_neighbors` would cost a range check, a bit
+    walk and a new frozenset per vertex and side.
     """
     if d.n > ORACLE_MAX_N:
         raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {ORACLE_MAX_N}")
     has = _member_sets(d.n)
-    ins = [d.in_neighbors(v) for v in range(d.n)]
-    outs = [d.out_neighbors(v) for v in range(d.n)]
+    ins = list(map(_vertex_set, d.in_masks))
+    outs = list(map(_vertex_set, d.out_masks))
     covered = 0
     for v in range(d.n):
         bad = 0

@@ -21,9 +21,11 @@ A Digraph is made from whatever its producer already holds:
 - out-neighbourhood masks: `from_out_masks(out)` (generators that grow
   out-masks only, `substitute`);
 - arcs from outside, such as a parsed file, a literal or a caller of the
-  public API: `build(n, arcs)`.
+  public API: `build(n, arcs)`;
+- an enumeration index: `digraph_from_index(n, index)`, which reads its
+  base-4 digits straight into masks.
 
-Those two, `induced`, `symmetric_subdigraph` and the locally semicomplete
+Those three, `induced`, `symmetric_subdigraph` and the locally semicomplete
 generator (`classes.generate_locally_semicomplete`, which grows the in-
 and out-masks together) write masks straight into the one private mask
 constructor, `_from_masks`.
@@ -371,16 +373,32 @@ def digraph_from_index(n: int, index: int) -> Digraph:
     """Digraph whose pair codes are the base-4 digits of `index`.
 
     The first pair (0,1) is the most significant digit, so enumeration by
-    ascending index is lexicographic on the code tuple.
+    ascending index is lexicographic on the code tuple.  The digits are
+    read from the least significant end, the last pair (n-2, n-1) first,
+    straight into the out- and in-masks, and the walk stops once no
+    nonzero digit is left: no code list is built and leading zero pairs
+    cost nothing.
     """
-    m = n * (n - 1) // 2
     if not 0 <= index < digraph_count(n):
         raise ValueError("digraph index out of range")
-    codes = [0] * m
-    for s in range(m - 1, -1, -1):
-        codes[s] = index & 3
+    out = [0] * n
+    inn = [0] * n
+    i, j = n - 2, n - 1
+    while index:
+        c = index & 3
+        if c & 1:  # arc i->j
+            out[i] |= 1 << j
+            inn[j] |= 1 << i
+        if c & 2:  # arc j->i
+            inn[i] |= 1 << j
+            out[j] |= 1 << i
         index >>= 2
-    return Digraph(n, codes)
+        if i:
+            i -= 1
+        else:  # column j is done; the pairs (0, j-1) .. (j-2, j-1) come next
+            j -= 1
+            i = j - 1
+    return _from_masks(tuple(out), tuple(inn))
 
 
 def digraph_to_index(d: Digraph) -> int:

@@ -57,6 +57,19 @@ Degree identity: every arc is one knotting edge, and its two ends lie in
 classes of different owners, so a class's degree equals its number of
 member arcs.  A vertex qualifies (all of its classes have degree at most
 one) exactly when every class has at most one member arc.
+
+`_qualifies` decides that with its own copy of the class search, in one
+frame.  The subset oracle calls it once per (subset, vertex), up to
+n * 2^n times per digraph, where the generator frame and the class tuples
+of `_class_masks` cost more than the search itself; a `_class_masks`
+that returned a list saved nothing.  The copy completes each class by
+the same rule and answers False at the first class with two or more
+member arcs, and the tests hold it to `_class_masks` on every small case.
+It is deliberately not cut to the shorter pair test "the first expansion
+reaches a free arc", which gives the same answers faster: that test is
+the greedy elimination's failing-pair test written another way, and the
+recognizer cross-check needs its knotting side to decide by splitting
+classes, independently of the greedy side.
 """
 
 from __future__ import annotations
@@ -153,9 +166,38 @@ def _class_masks(d: Digraph, v: int, alive: int) -> Iterator[tuple[int, int]]:
 def _qualifies(d: Digraph, v: int, alive: int) -> bool:
     """Do all of v's splitting classes in D[alive] have degree <= 1?
 
-    By the degree identity, that is: every class has at most one member arc.
+    By the degree identity, that is: every class has at most one member
+    arc.  The class search is `_class_masks`'s, copied into this frame so
+    that the subset oracles start no generator and build no class pair
+    per call (see the module docstring): each class is completed by the
+    same rule, and the answer is False at the first class with two or
+    more member arcs.
     """
-    for cls_in, cls_out in _class_masks(d, v, alive):
+    free_in = d.in_masks[v] & alive
+    free_out = d.out_masks[v] & alive
+    digon = d.digon_masks
+    below = (1 << v) - 1
+    while free_in or free_out:
+        if free_in & below or not free_out:
+            todo_in, todo_out = free_in & -free_in, 0
+        else:
+            todo_in, todo_out = 0, free_out & -free_out
+        free_in ^= todo_in
+        free_out ^= todo_out
+        cls_in, cls_out = todo_in, todo_out
+        while todo_in or todo_out:
+            was_in, was_out = free_in, free_out
+            while todo_in and free_out:
+                low = todo_in & -todo_in
+                free_out &= digon[low.bit_length() - 1] | low
+                todo_in ^= low
+            while todo_out and free_in:
+                low = todo_out & -todo_out
+                free_in &= digon[low.bit_length() - 1] | low
+                todo_out ^= low
+            todo_in, todo_out = was_in ^ free_in, was_out ^ free_out
+            cls_in |= todo_in
+            cls_out |= todo_out
         if cls_in.bit_count() + cls_out.bit_count() > 1:
             return False
     return True
@@ -286,8 +328,12 @@ def theorem2_oracle(d: Digraph) -> bool:
     knotting graph has some splitting group with all degrees <= 1.  Each
     subset is decided on its own vertex mask: its vertices are walked
     lowest bit first and each is tested by `_qualifies`, i.e. on its
-    splitting classes from `_class_masks` restricted to the mask, until one
-    qualifies.  Capped at ORACLE_MAX_N vertices.
+    splitting classes restricted to the mask, until one qualifies.
+    `_qualifies` runs the class search in its own frame because it is
+    called up to n * 2^n times here, and it completes each class rather
+    than stop at the first reached arc so that this side still decides
+    by splitting classes (see the module docstring).  Capped at
+    ORACLE_MAX_N vertices.
     """
     if d.n > ORACLE_MAX_N:
         raise ValueError(f"subset enumeration cap exceeded: n={d.n} > {ORACLE_MAX_N}")

@@ -3,8 +3,8 @@
 Reference copies below keep the code-based construction the masks
 replaced: the decoder that zips the codes with `pair_slots(n)`, and
 `build`, `induced` and `symmetric_subdigraph` writing pair codes first.
-Every constructor must give the same masks and the same `.codes` as
-those references, and equal digraphs must hash alike, exhaustively at
+Every constructor, `digraph_from_index` included, must give the same
+masks and the same `.codes` as those references, and equal digraphs must hash alike, exhaustively at
 n <= 4 and on seeded random digraphs up to n=60.  The class witnesses,
 `pair_kind` and `to_dot` are pinned to reference copies too.
 """
@@ -111,6 +111,11 @@ def ref_to_dot(n, codes):
     return "\n".join(lines) + "\n"
 
 
+def ref_index(codes):
+    # the codes as base-4 digits, the first pair most significant
+    return int("0" + "".join(map(str, codes)), 4)
+
+
 def ref_arcs(n, codes):
     out, _, _ = ref_masks(n, codes)
     return [(u, v) for u in range(n) for v in range(n) if out[u] >> v & 1]
@@ -132,7 +137,12 @@ def check_constructors(n, codes, subsets):
     assert_matches(d, n, codes)
     arcs = ref_arcs(n, codes)
     assert ref_build_codes(n, arcs) == codes
-    made = [build(n, arcs), build(n, reversed(arcs + arcs)), from_out_masks(list(d.out_masks))]
+    made = [
+        build(n, arcs),
+        build(n, reversed(arcs + arcs)),
+        from_out_masks(list(d.out_masks)),
+        digraph_from_index(n, ref_index(codes)),
+    ]
     for e in made:
         assert_matches(e, n, codes)
         assert e == d and hash(e) == hash(d)

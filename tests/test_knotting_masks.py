@@ -37,6 +37,7 @@ from dichordal.knotting import (
     KnottingGraph,
     SplittingClass,
     _class_masks,
+    _qualifies,
     knot_classes,
     knotting_graph,
     ss_chordal_via_knotting,
@@ -295,6 +296,41 @@ def test_class_masks_match_compatible_bfs_where_the_search_stops_early():
                 one_class += len(want) == 1 and len(want[0]) > 2
                 two_or_more += len(want) > 1 and max(map(len, want)) > 2
     assert one_class >= 600 and two_or_more >= 250
+
+
+# -- `_qualifies` runs the class search a second time, in its own frame --------------
+
+
+def classes_qualify(d, v, alive):
+    # every class of v in D[alive] has at most one member arc
+    return all(ci.bit_count() + co.bit_count() <= 1 for ci, co in _class_masks(d, v, alive))
+
+
+def test_qualifies_matches_class_masks_exhaustive_n4():
+    outcomes = set()
+    for d in small_digraphs():
+        for alive in range(1, 1 << d.n):
+            for v in bits(alive):
+                got = _qualifies(d, v, alive)
+                assert got == classes_qualify(d, v, alive), (serialize(d), alive, v)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_qualifies_matches_class_masks_random(n):
+    rng = random.Random(50 + n)
+    outcomes = set()
+    for seed in range(30):
+        weights = WEIGHTS[seed % len(WEIGHTS)]
+        d = random_digraph(n, weights, seed=2000 * n + seed)
+        full = (1 << n) - 1
+        for alive in [full] + [rng.randrange(1, full + 1) for _ in range(6)]:
+            for v in bits(alive):
+                got = _qualifies(d, v, alive)
+                assert got == classes_qualify(d, v, alive), (serialize(d), alive, v)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 # -- subset oracles against the induced-object references ---------------------------

@@ -221,7 +221,7 @@ def test_ss_chordal_small_digraphs_pass_rhs_necessity():
 def test_dicycle_lemma_exhaustive_n5():
     # every semi-strict chordal digraph on 5 vertices is free of induced
     # non-symmetric dicycles and has a chordal symmetric part; scans the
-    # full million-instance space, ~35s
+    # full million-instance space, ~19s on a shared 2-core x86_64 host
     from dichordal.chordality import underlying_SD_is_chordal
     from dichordal.digraph import digraph_count, digraph_from_index
 
