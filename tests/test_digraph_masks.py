@@ -4,8 +4,9 @@ Reference copies below keep the code-based construction the masks
 replaced: the decoder that zips the codes with `pair_slots(n)`, and
 `build`, `induced` and `symmetric_subdigraph` writing pair codes first.
 Every constructor, `digraph_from_index` included, must give the same
-masks and the same `.codes` as those references, and equal digraphs must hash alike, exhaustively at
-n <= 4 and on seeded random digraphs up to n=60.  The class witnesses,
+masks and the same `.codes` as those references, and equal digraphs must
+hash alike, exhaustively at n <= 4 and on seeded random digraphs up to
+n=60.  The class witnesses,
 `pair_kind` and `to_dot` are pinned to reference copies too.
 """
 

@@ -3,12 +3,13 @@
 `_class_masks(d, v, S)` evaluates v's splitting classes inside D[S] on the
 parent's neighbourhood masks.  These tests check it against knot_classes
 of the real induced subdigraph and against a breadth-first search over the
-defining relation `_compatible`, and check the three subset-quantified
-checks and the knotting deletion probe against reference copies of the
-code that built an induced Digraph and a KnottingGraph for every subset,
-every deletion step and every deleted vertex.  `knotting_graph`, which
-assembles the graph in one pass over the class masks, is checked against
-the two-pass code it replaced.
+defining relation `_compatible`, hold `_qualifies`, which runs the same
+class search in its own frame, to the classes of `_class_masks`, and
+check the three subset-quantified checks and the knotting deletion probe
+against reference copies of the code that built an induced Digraph and
+a KnottingGraph for every subset, every deletion step and every deleted
+vertex.  `knotting_graph`, which assembles the graph in one pass over the
+class masks, is checked against the two-pass code it replaced.
 """
 
 import contextlib
