@@ -120,30 +120,38 @@ def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
     size = block_size(n)
     shift = 2 * (n - 1)  # size == 1 << shift
     per_chunk = CHUNK // size
-    members, extensions = _block_rule(keep, n)
-    for parents in index_chunks(start // size, -(-stop // size)):
-        parents = parents[members[parents]]
-        for lo in range(0, parents.size, per_chunk):
-            block = parents[lo : lo + per_chunk]
-            # the block rule: one row gather per deleted vertex
-            ok = extensions[0][deleted_index(n - 1, 0, block)]
-            for v in range(1, n - 1):
-                ok &= extensions[v][deleted_index(n - 1, v, block)]
-            # only the kept rows get an index: position k of the flattened
-            # blocks is row k & (size - 1) of parent block[k >> shift]
-            k = np.flatnonzero(ok)
-            idx = block[k >> shift] * size + (k & (size - 1))
-            yield idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)]
+    parents, deletions, extensions = _block_rule(keep, n)
+    # the member parents whose blocks meet [start, stop)
+    first, last = np.searchsorted(parents, (start // size, -(-stop // size)))
+    for lo in range(first, last, per_chunk):
+        hi = min(lo + per_chunk, last)
+        # the block rule: one row gather per deleted vertex
+        ok = extensions[0][deletions[0, lo:hi]]
+        for v in range(1, n - 1):
+            ok &= extensions[v][deletions[v, lo:hi]]
+        # only the kept rows get an index: position k of the flattened
+        # blocks is in the block of the piece's parent j = k >> shift, so
+        # its index is k + (block[j] - j) * size
+        block = parents[lo:hi]
+        k = np.flatnonzero(ok)
+        idx = k + ((block - np.arange(block.size)) << shift)[k >> shift]
+        yield idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)]
 
 
 @lru_cache(maxsize=4)
-def _block_rule(keep, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order-(n-1) table M of `keep`, built through keep(n-1, .), and
-    its extension views `_extensions(M, n)`."""
+def _block_rule(keep, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only inputs of `block_chunks`' rule at order n, from the
+    order-(n-1) table M of `keep`, built through keep(n-1, .): the
+    ascending members of M, their deletion rows (row v is
+    deleted_index(n-1, v, members), v < n-1) and M's extension views
+    `_extensions(M, n)`."""
     members = _table(n - 1, keep)
-    extensions = _extensions(members, n)
-    extensions.flags.writeable = False
-    return members, extensions
+    parents = np.flatnonzero(members)
+    deletions = np.stack([deleted_index(n - 1, v, parents) for v in range(n - 1)])
+    rule = (parents, deletions, _extensions(members, n))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _extensions(table: np.ndarray, n: int) -> np.ndarray:
