@@ -61,13 +61,19 @@ through the prefilter.  From order 4 it reads only extension blocks.  A
 hereditary class keeps D - (n-1) of each member, so only the blocks of
 the order-(n-1) members are expanded (at n=5, 1,246 weakly
 quasi-transitive blocks: 318,976 rows instead of 4^10), and a whole block
-is decided by M's recurrence above.  M is built through the prefilter and
-cached with its views per (prefilter, order), four entries at most: about
-70 KB at n=5 and 22 MB at n=6.  Only the rows the rule keeps get an index
-(82,012 of the 318,976 at n=5), which is then clipped to the range.  The
-parents ascend and their blocks are disjoint and ascending, so the rows
-come out in ascending index order, exactly as filtering every index would
-give them.
+is decided by M's recurrence above.  M is built through the prefilter.
+For each (prefilter, order), four entries at most, `_block_rule` caches
+M's views, the ascending members of M and their deletion rows
+deleted_index(n-1, v, p), one per v < n-1 and member p.  So a warm scan
+remaps no index: each E_v gather reads a slice of the cached rows.  An
+entry takes about 110 KB at n=5 (64 KB of views, 40 KB of deletion
+rows) and 25 MB at n=6 (21 MB of views, 3.3 MB of deletion rows for the
+82,012 wqt members; never rows for all 4^10 order-5 indices).  Only the
+rows the rule keeps get an index (82,012 of the 318,976 at n=5), three
+int64 ops from their position in the piece, which is then clipped to the
+range.  The parents ascend and their blocks are disjoint and ascending,
+so the rows come out in ascending index order, exactly as filtering
+every index would give them.
 """
 
 from __future__ import annotations
@@ -110,7 +116,10 @@ def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
     ascending order, for a `keep` decided on triples.  Below order 4 each
     index is filtered through keep(n, idx); from order 4 the rows are read
     from the extension blocks of the order-(n-1) indices it keeps and
-    decided by the block rule (see the module docstring).  For n up to
+    decided by the block rule (see the module docstring).  One
+    searchsorted finds the cached member parents whose blocks meet [start,
+    stop); they are walked in pieces of CHUNK // 4^(n-1) blocks, and each
+    E_v gather reads a slice of their cached deletion rows.  For n up to
     TABLE_MAX_N + 1, as the rule reads the whole order-(n-1) table; every
     array yielded or handed to `keep` has at most CHUNK rows."""
     if n < 4:  # the block rule starts at order 4; below it are at most 64 indices
