@@ -26,7 +26,6 @@ from .digraph import (
     _labels,
     bits,
     dot_chunks,
-    dot_quote,
     enumerate_digraphs,
     induced,
     parse_labeled,
@@ -39,14 +38,14 @@ from .patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 _VARIANTS = {v.value: v for v in Variant}
 
 
-def _read_digraph(path: str) -> tuple[Digraph, dict[int, str], list[str]]:
-    """The digraph, its vertex names and each vertex's printed label."""
+def _read_digraph(path: str) -> tuple[Digraph, list[str]]:
+    """The digraph and each vertex's printed label."""
     if path == "-":
         text = sys.stdin.read()
     else:
         text = Path(path).read_text()
     d, names = parse_labeled(text)
-    return d, names, _labels(d.n, names)
+    return d, _labels(d.n, names)
 
 
 _CHUNK = 1024  # pieces per write
@@ -110,7 +109,7 @@ def _variant_verdict(
 
 
 def cmd_recognize(args) -> int:
-    d, _, labels = _read_digraph(args.input)
+    d, labels = _read_digraph(args.input)
     texts: dict[int, str] = {}  # stalled-subdigraph blocks of this command, by stalled mask
     every = args.variant == "all"
     decides = Variant.SEMI_STRICT if every else _VARIANTS[args.variant]  # sets the exit code
@@ -120,7 +119,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_order(args) -> int:
-    d, _, labels = _read_digraph(args.input)
+    d, labels = _read_digraph(args.input)
     ordering = elimination_ordering(d, _VARIANTS[args.variant])
     if args.json:
         print(json.dumps(list(ordering.order) if ordering else None))
@@ -213,27 +212,11 @@ def _knot_json(table: knotting._ClassTable) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _knot_dot(table: knotting._ClassTable, labels: list[str]) -> Iterator[str]:
-    """`knot --dot`: the text of `knotting.to_dot(knotting_graph(d), names)`,
-    one line at a time."""
-    groups, rows = table
-    yield "graph K {\n"
-    for v, group in enumerate(groups):
-        lab = dot_quote(labels[v])
-        yield f'  subgraph cluster_{v} {{\n    label="{lab}";\n'
-        for i in range(1, len(group) + 1):
-            yield f'    c{v}_{i} [label="{lab}^{i}"];\n'
-        yield "  }\n"
-    for u, row in enumerate(rows):
-        yield "".join([f"  c{u}_{i} -- c{w}_{j};\n" for w, i, j in row])
-    yield "}\n"
-
-
 def cmd_knot(args) -> int:
-    d, _, labels = _read_digraph(args.input)
+    d, labels = _read_digraph(args.input)
     table = knotting._class_table(d)
     if args.dot:
-        _write_lines(_knot_dot(table, labels))
+        _write_lines(knotting._dot_chunks(table, labels))
     else:
         _write_lines(_knot_json(table) if args.json else _knot_text(table, labels))
     return 0
@@ -243,7 +226,7 @@ def cmd_knot(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    d, _, labels = _read_digraph(args.input)
+    d, labels = _read_digraph(args.input)
     report = classify(d)
     if args.json:
         print(
@@ -268,7 +251,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_forbidden(args) -> int:
-    d, _, labels = _read_digraph(args.input)
+    d, labels = _read_digraph(args.input)
     hits = []  # one (JSON record, text line) pair per hit, in detector order
     for emb in (find_any_fig1(d), find_lollipop(d)):
         if emb is not None:

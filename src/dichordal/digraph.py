@@ -16,14 +16,15 @@ digraph never holds its n(n-1)/2 codes.
 A Digraph is made from whatever its producer already holds:
 
 - pair codes in slot order, each in 0..3: `Digraph(n, codes)`
-  (enumeration, generators that draw one code per pair), which decodes
-  them into masks and drops them;
+  (generators that draw one code per pair), which decodes them into
+  masks and drops them;
 - out-neighbourhood masks: `from_out_masks(out)` (generators that grow
   out-masks only, `substitute`);
 - arcs from outside, such as a parsed file, a literal or a caller of the
   public API: `build(n, arcs)`;
-- an enumeration index: `digraph_from_index(n, index)`, which reads its
-  base-4 digits straight into masks.
+- an enumeration index: `digraph_from_index(n, index)` (enumeration,
+  the exhaustive checks), which reads its base-4 digits straight into
+  masks.
 
 Those three, `induced`, `symmetric_subdigraph` and the locally semicomplete
 generator (`classes.generate_locally_semicomplete`, which grows the in-
@@ -411,12 +412,15 @@ def digraph_to_index(d: Digraph) -> int:
 def enumerate_digraphs(n: int, cap: int = 5) -> Iterator[Digraph]:
     """Yield every labeled digraph on n vertices exactly once.
 
-    Refuses n above `cap` (4^(n(n-1)/2) grows brutally fast).
+    The digraphs are `digraph_from_index(n, i)` for i = 0, 1, ..., which
+    is lexicographic order on the code tuple, pair (0,1) most significant.
+    Refuses n above `cap` (4^(n(n-1)/2) grows brutally fast) at the first
+    `next()`.
     """
     if n > cap:
         raise ValueError(f"enumeration cap exceeded: n={n} > cap={cap}")
-    for codes in itertools.product(range(4), repeat=n * (n - 1) // 2):
-        yield Digraph(n, codes)
+    for index in range(digraph_count(n)):
+        yield digraph_from_index(n, index)
 
 
 def random_digraph(

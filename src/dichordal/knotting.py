@@ -41,8 +41,13 @@ built only at vertices with two or more classes.  `knotting_graph`
 builds its `SplittingClass` and `KnottingEdge` objects from the table:
 each arc (u, w) of `d.arcs()` becomes the edge from u's class of
 out-arc w to w's class of in-arc u.  The CLI's `knot` writers (text,
-`--json` and `--dot`) read the table directly and build neither object;
-`to_dot(knotting_graph(d))` is the library route to the same DOT text.
+`--json` and `--dot`) read the table directly and build neither object.
+
+One DOT writer (`_dot_chunks`) lays out the knotting graph, from a class
+table.  `knot --dot` streams it over `_class_table(d)`; `to_dot(k)` feeds
+it k's groups and k's edges grouped by tail (they follow `d.arcs()`
+order, so one pass groups them) and joins the chunks, as `digraph.to_dot`
+joins `digraph.dot_chunks`.
 
 The same routine evaluates v inside any induced subdigraph D[S] without
 building it: restrict in(v) and out(v) to S.  That is exact because
@@ -58,18 +63,21 @@ classes of different owners, so a class's degree equals its number of
 member arcs.  A vertex qualifies (all of its classes have degree at most
 one) exactly when every class has at most one member arc.
 
-`_qualifies` decides that with its own copy of the class search, in one
-frame.  The subset oracle calls it once per (subset, vertex), up to
-n * 2^n times per digraph, where the generator frame and the class tuples
-of `_class_masks` cost more than the search itself; a `_class_masks`
-that returned a list saved nothing.  The copy completes each class by
-the same rule and answers False at the first class with two or more
-member arcs, and the tests hold it to `_class_masks` on every small case.
-It is deliberately not cut to the shorter pair test "the first expansion
-reaches a free arc", which gives the same answers faster: that test is
-the greedy elimination's failing-pair test written another way, and the
-recognizer cross-check needs its knotting side to decide by splitting
-classes, independently of the greedy side.
+`_class_masks` returns its classes as one list of mask pairs, which
+every caller reads whole.  `_qualifies` decides the degree test with its
+own copy of the class search, in one frame.  The subset oracle calls it
+once per (subset, vertex), up to n * 2^n times per digraph, where the
+call and the class list of `_class_masks` cost more than the search
+itself, and a shared search would have to branch on which caller it
+serves: collect every class, or stop at the first class with two or
+more member arcs.  The copy completes each class by the same rule and
+answers False at that first class, and the tests hold it to
+`_class_masks` on every small case.  It is deliberately not cut to the
+shorter pair test "the first expansion reaches a free arc", which gives
+the same answers faster: that test is the greedy elimination's
+failing-pair test written another way, and the recognizer cross-check
+needs its knotting side to decide by splitting classes, independently of
+the greedy side.
 """
 
 from __future__ import annotations
@@ -124,14 +132,14 @@ class KnottingGraph:
         return out
 
 
-def _class_masks(d: Digraph, v: int, alive: int) -> Iterator[tuple[int, int]]:
+def _class_masks(d: Digraph, v: int, alive: int) -> list[tuple[int, int]]:
     """Splitting classes of v in D[alive], as (in_mask, out_mask) pairs.
 
     The masks hold the far ends of the class's in-arcs and out-arcs.
     Classes come in the order of their smallest member arc; a vertex with
-    no arc in D[alive] has none.  Each class is yielded as soon as its
-    search ends, so a caller can stop early.
+    no arc in D[alive] has none.
     """
+    classes = []
     free_in = d.in_masks[v] & alive
     free_out = d.out_masks[v] & alive
     digon = d.digon_masks
@@ -160,7 +168,8 @@ def _class_masks(d: Digraph, v: int, alive: int) -> Iterator[tuple[int, int]]:
             todo_in, todo_out = was_in ^ free_in, was_out ^ free_out
             cls_in |= todo_in
             cls_out |= todo_out
-        yield cls_in, cls_out
+        classes.append((cls_in, cls_out))
+    return classes
 
 
 def _qualifies(d: Digraph, v: int, alive: int) -> bool:
@@ -168,8 +177,8 @@ def _qualifies(d: Digraph, v: int, alive: int) -> bool:
 
     By the degree identity, that is: every class has at most one member
     arc.  The class search is `_class_masks`'s, copied into this frame so
-    that the subset oracles start no generator and build no class pair
-    per call (see the module docstring): each class is completed by the
+    that the subset oracles make no call and build no class list per
+    vertex (see the module docstring): each class is completed by the
     same rule, and the answer is False at the first class with two or
     more member arcs.
     """
@@ -206,7 +215,7 @@ def _qualifies(d: Digraph, v: int, alive: int) -> bool:
 def _vertex_classes(d: Digraph, v: int) -> list[tuple[int, int]]:
     """v's splitting classes in D as `_class_masks` pairs; an arcless vertex
     owns one empty class."""
-    return list(_class_masks(d, v, (1 << d.n) - 1)) or [(0, 0)]
+    return _class_masks(d, v, (1 << d.n) - 1) or [(0, 0)]
 
 
 _ClassTable = tuple[list[list[tuple[int, int]]], Iterator[list[tuple[int, int, int]]]]
@@ -349,23 +358,31 @@ def theorem2_oracle(d: Digraph) -> bool:
     return True
 
 
-def to_dot(
-    k: KnottingGraph, names: Mapping[int, str] | None = None
-) -> str:
-    """DOT export: one node per splitting class, groups clustered, edges undirected."""
-    labels = [dot_quote(x) for x in _labels(k.n, names)]
+def _dot_chunks(table: _ClassTable, labels: list[str]) -> Iterator[str]:
+    """The knotting graph's DOT text from a class table, one line at a time
+    (the edge lines one piece per tail): one node per splitting class,
+    each vertex's group a cluster, edges undirected.  Reads only the size
+    of each group."""
+    groups, rows = table
+    yield "graph K {\n"
+    for v, group in enumerate(groups):
+        lab = dot_quote(labels[v])
+        yield f'  subgraph cluster_{v} {{\n    label="{lab}";\n'
+        for i in range(1, len(group) + 1):
+            yield f'    c{v}_{i} [label="{lab}^{i}"];\n'
+        yield "  }\n"
+    for u, row in enumerate(rows):
+        yield "".join([f"  c{u}_{i} -- c{w}_{j};\n" for w, i, j in row])
+    yield "}\n"
 
-    def node(cid: ClassId) -> str:
-        return f"c{cid[0]}_{cid[1]}"
 
-    lines = ["graph K {"]
-    for v in range(k.n):
-        lines.append(f"  subgraph cluster_{v} {{")
-        lines.append(f'    label="{labels[v]}";')
-        for cls in k.group(v):
-            lines.append(f'    {node(cls.id)} [label="{labels[v]}^{cls.index}"];')
-        lines.append("  }")
+def to_dot(k: KnottingGraph, names: Mapping[int, str] | None = None) -> str:
+    """DOT export: one node per splitting class, groups clustered, edges undirected.
+
+    The text of `_dot_chunks` over k's groups and k's edges grouped by
+    tail, which take one pass since the edges follow `d.arcs()` order.
+    """
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(k.n)]
     for e in k.edges:
-        lines.append(f"  {node(e.a)} -- {node(e.b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        rows[e.a[0]].append((e.b[0], e.a[1], e.b[1]))
+    return "".join(_dot_chunks((k.groups, rows), _labels(k.n, names)))

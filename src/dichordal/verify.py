@@ -489,8 +489,8 @@ def _deletion_derived_mismatch(d: Digraph, v: int) -> Optional[str]:
     for u in range(d.n):
         if u == v:
             continue
-        old = list(_class_masks(d, u, full))
-        new = list(_class_masks(d, u, full & ~(1 << v)))
+        old = _class_masks(d, u, full)
+        new = _class_masks(d, u, full & ~(1 << v))
         if max(len(old), 1) != max(len(new), 1):
             return f"class count changes at vertex {u}"
         for old_in, old_out in old:

@@ -5,12 +5,24 @@ exercised by a check only if dropping it alone changes the right side on
 some row of the check, so that it disagrees with the left side.  For each
 order n <= 5 and each clause, these tests count the class rows where that
 happens, on the same rows, tables and sides as `verify._table_scan`.
+
+The rows are then checked again on the object path, which shares no code
+with the tables: at n=5, every row that the symmetric part, the dicycle
+or the lollipop decides alone, and a seeded sample of the rows that fig1
+decides alone, must lie in the class, get the right side from
+`is_chordal` of the symmetric part and the `find_*` detectors equal to
+`is_chordal`, and lose that equality when the clause is dropped.
 """
+
+import random
 
 import numpy as np
 import pytest
 
-from dichordal.digraph import digraph_count
+from dichordal.chordality import Variant, is_chordal
+from dichordal.classes import is_locally_semicomplete, is_weakly_quasi_transitive
+from dichordal.digraph import digraph_count, digraph_from_index, symmetric_subdigraph
+from dichordal.patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from dichordal.tables import (
     block_chunks,
     containment_table,
@@ -37,13 +49,13 @@ KNOCKOUT = {
 }
 
 
-def knockout_counts(check, n):
-    """{clause: rows where the right side without that clause disagrees
-    with semi-strict chordality}, over the order-n rows of the check."""
+def knockout_rows(check, n):
+    """{clause: the ascending order-n indices of the check's rows where the
+    right side without that clause disagrees with semi-strict chordality}."""
     keep, families = CHECKS[check]
     chordal = semi_strict_table(n)
     tables = [containment_table(f, n) for f in families]
-    counts = dict.fromkeys(("symmetric",) + families, 0)
+    rows = {clause: [] for clause in ("symmetric",) + families}
     for idx in block_chunks(keep, n, 0, digraph_count(n)):
         lhs = chordal[idx]
         clauses = {"symmetric": chordal[symmetric_index(idx)]}
@@ -51,8 +63,14 @@ def knockout_counts(check, n):
         assert np.array_equal(np.logical_and.reduce(list(clauses.values())), lhs), (check, n)
         for dropped in clauses:
             rest = [c for name, c in clauses.items() if name != dropped]
-            counts[dropped] += int(np.count_nonzero(np.logical_and.reduce(rest) != lhs))
-    return counts
+            rows[dropped].append(idx[np.logical_and.reduce(rest) != lhs])
+    return {clause: np.concatenate(parts) for clause, parts in rows.items()}
+
+
+def knockout_counts(check, n):
+    """{clause: rows where the right side without that clause disagrees
+    with semi-strict chordality}, over the order-n rows of the check."""
+    return {clause: idx.size for clause, idx in knockout_rows(check, n).items()}
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
@@ -60,3 +78,34 @@ def test_clause_knockout_counts_up_to_n5(check):
     for n in range(1, 6):
         want = {clause: row[n - 1] for (c, clause), row in KNOCKOUT.items() if c == check}
         assert knockout_counts(check, n) == want, (check, n)
+
+
+# -- the knock-out rows on the object path ---------------------------------------------
+
+MEMBER = {"theorem4": is_weakly_quasi_transitive, "theorem5": is_locally_semicomplete}
+
+# each clause of the right side, as the object path decides it
+OBJECT_CLAUSES = {
+    "symmetric": lambda d: is_chordal(symmetric_subdigraph(d), Variant.SEMI_STRICT),
+    "fig1": lambda d: find_any_fig1(d) is None,
+    "dicycle": lambda d: find_nonsym_induced_dicycle(d, 3) is None,
+    "lollipop": lambda d: find_lollipop(d) is None,
+}
+
+FIG1_SAMPLE = 500
+
+
+@pytest.mark.parametrize("check, clause", [key for key, row in KNOCKOUT.items() if row[4]])
+def test_knockout_rows_hold_on_the_object_path_n5(check, clause):
+    rows = knockout_rows(check, 5)[clause].tolist()
+    assert len(rows) == KNOCKOUT[(check, clause)][4]
+    if clause == "fig1":
+        rows = sorted(random.Random(5).sample(rows, FIG1_SAMPLE))
+    clauses = ("symmetric",) + CHECKS[check][1]
+    for i in rows:
+        d = digraph_from_index(5, i)
+        lhs = is_chordal(d, Variant.SEMI_STRICT)
+        sides = {c: OBJECT_CLAUSES[c](d) for c in clauses}
+        assert MEMBER[check](d), (check, i)
+        assert all(sides.values()) == lhs, (check, i)
+        assert all(v for c, v in sides.items() if c != clause) != lhs, (check, clause, i)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -279,6 +280,21 @@ def test_enumerate_every_filter_keeps_what_its_predicate_accepts(capsys):
             kept = [serialize(d) for d in enumerate_digraphs(k) if pred(d)]
             assert (code, err) == (0, "")
             assert out == "\n".join(kept), (choice, k)
+
+
+# sha256 of `dichordal enumerate --n 3 [--filter wqt]` stdout, captured from the
+# code that decoded `itertools.product` code tuples
+ENUMERATE_DIGESTS = {
+    (): "f8f45de217d1142cb42097bc841d8110ce27f98f189a652738a8602bf7252cdb",
+    ("--filter", "wqt"): "90fd78f72e8b0ba135b98401218141c8744364b743875920f45a7ac7cb2865ee",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_output_is_pinned(capsys, extra):
+    code, out, err = run(capsys, "enumerate", "--n", "3", *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[extra]
 
 
 def test_enumerate_cap(capsys):

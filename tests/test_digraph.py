@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +230,14 @@ def test_enumeration_matches_index_order():
     for i, d in enumerate(enumerate_digraphs(3)):
         assert digraph_to_index(d) == i
         assert digraph_from_index(3, i) == d
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_enumeration_order_equals_the_code_tuple_product(n):
+    # pinned on a route that shares no decoding with digraph_from_index:
+    # lexicographic code tuples, pair (0,1) most significant, decoded by Digraph
+    want = [Digraph(n, c) for c in itertools.product(range(4), repeat=n * (n - 1) // 2)]
+    assert list(enumerate_digraphs(n)) == want
 
 
 def test_random_digraph_degenerate_weights():

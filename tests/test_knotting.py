@@ -265,3 +265,42 @@ def test_knotting_dot_smoke(ex1):
     assert "subgraph cluster_3" in dot
     assert '"d^1"' in dot
     assert "--" in dot
+
+
+# a digon path through 39, 37, ..., 1, 0, 2, ..., 38: its arcs' classes
+# have different indices at tail and head
+ZIGZAG = list(range(39, 0, -2)) + list(range(0, 40, 2))
+
+
+def ref_to_dot(k, names=None):
+    """to_dot as it was: its own line builder over the graph's objects."""
+    labels = [
+        str((names or {}).get(v, v)).replace("\\", "\\\\").replace('"', '\\"')
+        for v in range(k.n)
+    ]
+    lines = ["graph K {"]
+    for v in range(k.n):
+        lines.append(f"  subgraph cluster_{v} {{")
+        lines.append(f'    label="{labels[v]}";')
+        for cls in k.group(v):
+            lines.append(f'    c{v}_{cls.index} [label="{labels[v]}^{cls.index}"];')
+        lines.append("  }")
+    for e in k.edges:
+        lines.append(f"  c{e.a[0]}_{e.a[1]} -- c{e.b[0]}_{e.b[1]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d, names", [
+    (build(0, []), None),
+    (build(4, [(0, 1), (1, 0), (1, 2)]), None),  # vertex 3 is isolated
+    (build(3, [(0, 1), (1, 2), (2, 1), (2, 0)]), {0: 'a"b', 1: "c\\", 2: 'say "x\\y"'}),
+    (build(40, [a for u, w in zip(ZIGZAG, ZIGZAG[1:]) for a in ((u, w), (w, u))]), None),
+    (build(30, [(i, j) for i in range(30) for j in range(i + 1, 30)]), {5: "five"}),
+    (random_digraph(60, (60, 1, 1, 2), seed=3), None),
+], ids=["n0", "isolated", "quoted-names", "path-40", "tournament-30", "sparse-60"])
+def test_to_dot_equals_the_line_builder_it_replaced(d, names):
+    k = knotting_graph(d)
+    # the larger inputs have arcs whose class index differs at tail and head
+    assert d.n < 5 or any(e.a[1] != e.b[1] for e in k.edges)
+    assert to_dot(k, names) == ref_to_dot(k, names)
