@@ -13,7 +13,7 @@ import json
 import sys
 import traceback
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 from . import knotting
@@ -46,17 +46,6 @@ def _read_digraph(path: str) -> tuple[Digraph, list[str]]:
         text = Path(path).read_text()
     d, names = parse_labeled(text)
     return d, _labels(d.n, names)
-
-
-_CHUNK = 1024  # pieces per write
-
-
-def _write_lines(lines: Iterable[str]) -> None:
-    """Write pieces of text (lines, or one vertex's lines) to stdout, _CHUNK
-    pieces per write."""
-    it = iter(lines)
-    while chunk := list(islice(it, _CHUNK)):  # a piece may be empty
-        sys.stdout.write("".join(chunk))
 
 
 # -- recognize / order ---------------------------------------------------------
@@ -216,9 +205,9 @@ def cmd_knot(args) -> int:
     d, labels = _read_digraph(args.input)
     table = knotting._class_table(d)
     if args.dot:
-        _write_lines(knotting._dot_chunks(table, labels))
+        sys.stdout.writelines(knotting._dot_chunks(table, labels))
     else:
-        _write_lines(_knot_json(table) if args.json else _knot_text(table, labels))
+        sys.stdout.writelines(_knot_json(table) if args.json else _knot_text(table, labels))
     return 0
 
 

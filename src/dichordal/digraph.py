@@ -34,6 +34,7 @@ constructor, `_from_masks`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -438,16 +439,10 @@ def random_digraph(
     total = float(sum(kind_weights))
     if total <= 0:
         raise ValueError("kind_weights must have positive sum")
-    cum = list(itertools.accumulate(w / total for w in kind_weights))
+    # kind 3 takes every r past cum[2], whatever rounding leaves in cum[3]
+    cum = list(itertools.accumulate(w / total for w in kind_weights))[:3]
     rng = random.Random(seed)
-    codes = []
-    for _ in range(n * (n - 1) // 2):
-        r = rng.random()
-        k = 0
-        while k < 3 and r >= cum[k]:
-            k += 1
-        codes.append(k)
-    return Digraph(n, codes)
+    return Digraph(n, [bisect.bisect_right(cum, rng.random()) for _ in range(n * (n - 1) // 2)])
 
 
 # -- text format ---------------------------------------------------------------

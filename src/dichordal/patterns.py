@@ -136,6 +136,7 @@ class Embedding:
         return f"{self.name}: {assigns}"
 
 
+@lru_cache(maxsize=None)
 def fig1_templates() -> tuple[PatternTemplate, ...]:
     """The four small obstructions, on vertices 0..3 (0..2 for the triangle)."""
     a = PatternTemplate(
@@ -186,6 +187,7 @@ def fig1_templates() -> tuple[PatternTemplate, ...]:
     return (a, b, c, d)
 
 
+@lru_cache(maxsize=64)
 def lollipop_template(k: int) -> PatternTemplate:
     """Digon pair -> directed path of k non-symmetric arcs' vertices -> digon pair.
 
@@ -205,10 +207,6 @@ def lollipop_template(k: int) -> PatternTemplate:
     cons[(k + 1, k + 2)] = EdgeConstraint.ARC_FORWARD
     cons[(k + 1, k + 3)] = EdgeConstraint.ARC_FORWARD
     return PatternTemplate(f"lollipop{k}", k + 4, cons)
-
-
-# the detectors' own lollipop templates, so that their plans are reused
-_lollipop = lru_cache(maxsize=64)(lollipop_template)
 
 
 def expand_template(t: PatternTemplate) -> list[Digraph]:
@@ -321,18 +319,10 @@ def find_induced(d: Digraph, t: PatternTemplate) -> Optional[Embedding]:
     return _embed(_Masks(d), t, {})
 
 
-# fixed-direction templates first: cheapest and most constrained
-_FIG1_SEARCH_ORDER = ("fig1d", "fig1b", "fig1c", "fig1a")
-
-
-@lru_cache(maxsize=None)
-def _fig1_in_search_order() -> tuple[PatternTemplate, ...]:
-    by_name = {t.name: t for t in fig1_templates()}
-    return tuple(by_name[name] for name in _FIG1_SEARCH_ORDER)
-
-
 def find_any_fig1(d: Digraph) -> Optional[Embedding]:
-    for t in _fig1_in_search_order():
+    a, b, c, tri = fig1_templates()
+    # fixed-direction templates first: cheapest and most constrained
+    for t in (tri, b, c, a):
         hit = find_induced(d, t)
         if hit is not None:
             return hit
@@ -371,7 +361,7 @@ def find_lollipop(d: Digraph, k_max: Optional[int] = None) -> Optional[Embedding
     for k in range(1, top + 1):
         restrict = {0: feeding, 1: feeding, 2: heads, k + 2: fed, k + 3: fed}
         restrict[k + 1] = tails if k > 1 else heads & tails
-        hit = _embed(m, _lollipop(k), restrict)
+        hit = _embed(m, lollipop_template(k), restrict)
         if hit is not None:
             return hit
     return None

@@ -5,8 +5,11 @@ chunks.  The printers below are the earlier ones, one `print` and one
 label lookup per name; every command must give the same stdout and exit
 code on labelled files, including NO verdicts with stalled sets, the empty
 digraph and isolated vertices.  `knot` is printed from `ref_knotting_graph`,
-the two-pass graph construction, so these references share no text or
-graph code with the CLI.
+the two-pass graph construction, and `knot --dot` by `ref_to_dot`, the
+line builder that `test_knotting.py` keeps.  These references write their
+own lines, labels and DOT quoting, so they share no text code with the
+CLI; the decisions they print (the greedy order, the witness, the
+splitting-class search of `knotting._class_masks`) come from the library.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from dichordal.cli import main
 from dichordal.digraph import bits, build, induced, parse_labeled, random_digraph, serialize
 from dichordal.patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 
+from test_knotting import ref_to_dot
 from test_knotting_masks import _digon_path, _transitive_tournament, ref_knotting_graph
 
 ALL_VARIANTS = (Variant.CHORDAL, Variant.SEMI_STRICT, Variant.STRICT)
@@ -84,7 +88,7 @@ def ref_knot(d, names, flag):
     nm = _namer(names)
     k = ref_knotting_graph(d)
     if flag == "--dot":
-        print(knotting.to_dot(k, names), end="")
+        print(ref_to_dot(k, names), end="")
         return 0
     if flag == "--json":
         out = {
@@ -270,7 +274,7 @@ def test_knot_builds_no_class_or_edge_objects(tmp_path, monkeypatch, flag):
 @pytest.mark.parametrize("flag", ["", "--dot"])
 def test_knot_writes_past_a_run_of_vertices_that_send_no_arc(tmp_path, flag):
     # the edge lines come in one piece per tail, so a piece can be empty;
-    # here vertices 0..2047 send no arc, so some write gets only empty pieces
+    # here vertices 0..2047 send no arc, so a long run of pieces is empty
     d = build(2050, [(2049, 0), (2048, 2049)])
     path = tmp_path / "in.dg"
     path.write_text(serialize(d))
@@ -314,5 +318,5 @@ def test_knot_json_equals_json_dumps_of_the_graph(tmp_path, d):
 def test_knot_dot_equals_to_dot_of_the_graph(tmp_path, d, names):
     path = tmp_path / "in.dg"
     path.write_text(serialize(d, names))
-    want = knotting.to_dot(knotting.knotting_graph(d), names)
+    want = ref_to_dot(knotting.knotting_graph(d), names)
     assert captured(main, ["knot", "--dot", str(path)]) == (0, want)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,45 @@ def test_isomorphism_relabeled_digon_path():
     assert are_isomorphic(a, b)
 
 
+def test_isomorphism_refuses_different_orders():
+    assert not are_isomorphic(build(2, []), build(3, []))
+
+
+def _isomorphisms(a, b):
+    return [
+        p
+        for p in itertools.permutations(range(a.n))
+        if all(
+            a.pair_kind(u, w) == b.pair_kind(p[u], p[w])
+            for u, w in itertools.combinations(range(a.n), 2)
+        )
+    ]
+
+
+def test_isomorphism_backtracks_past_a_wrong_first_image():
+    # b is a relabelled; a's vertex 0 (in 1, out 1) has the degrees of b's
+    # vertices 0 and 3.  The search tries b's vertex 0 first, which no
+    # isomorphism uses, so it must undo that choice and go on to 3.
+    a = build(4, [(0, 1), (1, 2), (3, 0), (3, 2)])
+    b = build(4, [(3, 0), (0, 1), (2, 3), (2, 1)])
+    assert {p[0] for p in _isomorphisms(a, b)} == {3}
+    assert are_isomorphic(a, b)
+
+
+def test_isomorphism_refuses_equal_degrees_in_other_shapes():
+    # a directed 6-cycle and two directed triangles: every vertex has in
+    # and out degree 1, so only the search tells them apart
+    six = build(6, [(i, (i + 1) % 6) for i in range(6)])
+    two = build(6, [(i, i // 3 * 3 + (i + 1) % 3) for i in range(6)])
+    assert not _isomorphisms(six, two)
+    assert not are_isomorphic(six, two)
+
+
+def test_repr_lists_the_arcs():
+    d = build(3, [(2, 1), (1, 0), (1, 2)])
+    assert repr(d) == "Digraph(n=3, arcs=[(1, 0), (1, 2), (2, 1)])"
+
+
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 64), (4, 4096)])
 def test_enumeration_counts(n, count):
     assert digraph_count(n) == count
@@ -250,6 +290,30 @@ def test_random_digraph_deterministic():
     assert random_digraph(7, (1, 2, 2, 1), seed=42) == random_digraph(
         7, (1, 2, 2, 1), seed=42
     )
+
+
+def scan_draw(n, kind_weights, seed):
+    """random_digraph's earlier draw: each pair's kind is the first k with
+    r < cum[k], found by a scan of the cumulative weights, else 3."""
+    total = float(sum(kind_weights))
+    cum = list(itertools.accumulate(w / total for w in kind_weights))
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(n * (n - 1) // 2):
+        r = rng.random()
+        k = 0
+        while k < 3 and r >= cum[k]:
+            k += 1
+        codes.append(k)
+    return Digraph(n, codes)
+
+
+@pytest.mark.parametrize("weights", [
+    (0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (20, 1, 1, 1), (0, 3, 2, 0),
+])
+def test_random_digraph_draws_as_the_cumulative_scan(weights):
+    for n in range(61):
+        assert random_digraph(n, weights, seed=n) == scan_draw(n, weights, n), n
 
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (-1, 1, 1, 1), (0, 0, 0, 0)])

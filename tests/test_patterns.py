@@ -66,6 +66,18 @@ def test_lollipop_template_shapes():
         lollipop_template(0)
 
 
+def test_templates_are_cached_where_they_are_made():
+    # the detectors read these objects, so each template's search plan is
+    # built once per process
+    assert fig1_templates() is fig1_templates()
+    for k in range(1, 9):
+        assert lollipop_template(k) is lollipop_template(k)
+
+
+def test_embedding_str_names_the_host_vertex_of_each_template_vertex():
+    assert str(Embedding("fig1d", (4, 0, 2))) == "fig1d: t0→h4, t1→h0, t2→h2"
+
+
 def test_find_induced_triangle_identity():
     t = fig1_templates()[3]
     assert find_induced(CYCLE3, t) == Embedding("fig1d", (0, 1, 2))
