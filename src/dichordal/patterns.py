@@ -138,7 +138,11 @@ class Embedding:
 
 @lru_cache(maxsize=None)
 def fig1_templates() -> tuple[PatternTemplate, ...]:
-    """The four small obstructions, on vertices 0..3 (0..2 for the triangle)."""
+    """The four small obstructions, on vertices 0..3 (0..2 for the triangle).
+
+    Cached: every caller shares these objects, so each search plan is
+    built once.
+    """
     a = PatternTemplate(
         "fig1a",
         4,
@@ -192,7 +196,8 @@ def lollipop_template(k: int) -> PatternTemplate:
     """Digon pair -> directed path of k non-symmetric arcs' vertices -> digon pair.
 
     Vertices: 0,1 are the feeding digon pair, 2..k+1 the path, k+2,k+3 the
-    fed digon pair.  All unlisted pairs are non-adjacent.
+    fed digon pair.  All unlisted pairs are non-adjacent.  Cached like
+    `fig1_templates`.
     """
     if k < 1:
         raise ValueError("lollipop path length k must be at least 1")

@@ -120,6 +120,6 @@ def test_tool_reports_after_a_pytest_run(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = FIXTURE.splitlines()
     report = [f"mod.py:{line}: {lines[line - 1].strip()}" for line in NEVER]
-    report.append(f"{len(NEVER)} statements never ran")
+    report.append(f"never ran: {len(NEVER)}")
     assert proc.stdout.splitlines()[-len(report):] == report
     assert "1 passed" in proc.stdout

@@ -16,7 +16,7 @@ the default is the package, src/dichordal.  The pytest arguments default
 to "-q -p no:cacheprovider tests".  Run it from the repository root with
 the package importable (PYTHONPATH=src).  After pytest's own output it
 prints one "module.py:LINE: source" line per statement that never ran,
-in module and line order, then their count.  The exit code is pytest's.
+in module and line order, then "never ran: COUNT".  The exit code is pytest's.
 The whole test suite takes several times its plain wall time this way.
 """
 
@@ -125,7 +125,7 @@ def main(argv: list[str]) -> int:
     for path, line in missed:
         text = sources.setdefault(path, path.read_text().splitlines())[line - 1]
         print(f"{path.name}:{line}: {text.strip()}")
-    print(f"{len(missed)} statements never ran")
+    print(f"never ran: {len(missed)}")
     return int(code)
 
 
