@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "unexecuted.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+TOOL = TOOLS / "unexecuted.py"
+sys.path.insert(0, str(TOOLS))
+
+import unexecuted  # noqa: E402
 
 # the calls below never reach the lines marked "# never runs"; docstrings,
 # the import and the def and class lines are not listed at all
@@ -67,13 +71,6 @@ def test_calls():
 NEVER = [i for i, line in enumerate(FIXTURE.splitlines(), start=1) if line.endswith("# never runs")]
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("unexecuted_tool", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 def _fixture_package(tmp_path):
     package = tmp_path / "fixpkg"
     package.mkdir()
@@ -83,7 +80,6 @@ def _fixture_package(tmp_path):
 
 
 def test_tracer_lists_exactly_the_marked_statements(tmp_path):
-    tool = _load_tool()
     package = _fixture_package(tmp_path)
 
     def run():
@@ -92,20 +88,19 @@ def test_tracer_lists_exactly_the_marked_statements(tmp_path):
         spec.loader.exec_module(mod)
         return mod.used(10), mod.sometimes("4")
 
-    result, ran = tool.trace_lines(package, run)
+    result, ran = unexecuted.trace_lines(package, run)
     assert result == ("big", 5)
-    assert tool.unexecuted(package, ran) == [(package / "mod.py", line) for line in NEVER]
+    assert unexecuted.unexecuted(package, ran) == [(package / "mod.py", line) for line in NEVER]
 
 
 def test_statements_skip_docstrings_defs_classes_and_imports():
-    tool = _load_tool()
-    listed = [first for first, _ in tool.statements(FIXTURE)]
+    listed = [first for first, _ in unexecuted.statements(FIXTURE)]
     lines = FIXTURE.splitlines()
     assert not [first for first in listed if lines[first - 1].lstrip().startswith(
         ('"""', "def ", "class ", "import ", "@")
     )]
     # the try statement owns its try and except lines, not its bodies
-    (own,) = [own for first, own in tool.statements(FIXTURE) if lines[first - 1] == "    try:"]
+    (own,) = [own for first, own in unexecuted.statements(FIXTURE) if lines[first - 1] == "    try:"]
     assert [lines[i - 1].strip() for i in sorted(own)] == ["try:", "except ValueError:"]
 
 

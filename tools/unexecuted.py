@@ -16,8 +16,10 @@ the default is the package, src/dichordal.  The pytest arguments default
 to "-q -p no:cacheprovider tests".  Run it from the repository root with
 the package importable (PYTHONPATH=src).  After pytest's own output it
 prints one "module.py:LINE: source" line per statement that never ran,
-in module and line order, then "never ran: COUNT".  The exit code is pytest's.
-The whole test suite takes several times its plain wall time this way.
+in module and line order, then "never ran: COUNT".  The exit code is
+pytest's.  The whole test suite takes several times its plain wall time
+this way.  Docstring lines are found by `tools/code_lines.py`, imported
+from this script's own directory.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from pathlib import Path
 from types import CodeType
 from typing import Optional, TypeVar
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dichordal"
+from code_lines import PACKAGE, _docstring_lines
+
 PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "tests"]
 
-_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 _UNLISTED = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Import, ast.ImportFrom)
 
 T = TypeVar("T")
@@ -48,18 +50,10 @@ def statements(source: str) -> list[tuple[int, set[int]]]:
     """Each listed statement of `source` as (first line, own lines), in
     source order."""
     tree = ast.parse(source)
-    docstrings = {
-        id(node.body[0])
-        for node in ast.walk(tree)
-        if isinstance(node, _SCOPES)
-        and node.body
-        and isinstance(node.body[0], ast.Expr)
-        and isinstance(node.body[0].value, ast.Constant)
-        and isinstance(node.body[0].value.value, str)
-    }
+    docstrings = _docstring_lines(tree)
     found = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, _UNLISTED) or id(node) in docstrings:
+        if not isinstance(node, ast.stmt) or isinstance(node, _UNLISTED) or node.lineno in docstrings:
             continue
         own = _span(node)
         for inner in ast.walk(node):
