@@ -13,7 +13,6 @@ import json
 import sys
 import traceback
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from pathlib import Path
 
 from . import knotting
@@ -154,14 +153,13 @@ def _knot_text(table: knotting._ClassTable, labels: list[str]) -> Iterator[str]:
     yield f"{sum(map(len, groups))} classes, {edges} edges\n"
 
 
-def _json_array(items: Iterable[Iterable[str]], indent: str) -> Iterator[str]:
-    """A JSON array laid out as `json.dumps(.., indent=2)` lays it out, from
-    items given as pieces of text: "[]" when empty, else one item per line
-    and "]" on its own line at `indent`."""
+def _json_array(items: Iterable[str], indent: str) -> Iterator[str]:
+    """A JSON array laid out as `json.dumps(.., indent=2)` lays it out, one
+    piece per item: "[]" when empty, else one item per line and "]" on its
+    own line at `indent`."""
     sep = "[\n"
     for item in items:
-        yield sep
-        yield from item
+        yield sep + item
         sep = ",\n"
     yield "[]" if sep == "[\n" else f"\n{indent}]"
 
@@ -178,22 +176,20 @@ _JSON_EDGE = (
 def _knot_json(table: knotting._ClassTable) -> Iterator[str]:
     """`knot --json`: the document `json.dumps(.., indent=2)` prints for
     {"classes": [{"owner", "index", "members"}, ...], "edges": [{"arc", "a", "b"}, ...]},
-    written one member arc or edge at a time."""
+    written one class or edge at a time."""
     groups, rows = table
     classes = (
-        chain(
-            (_JSON_CLASS % (v, idx),),
-            _json_array(_sorted_members(
-                v, cls_in,
-                [(_JSON_ARC % (u, v),) for u in bits(cls_in)],
-                [(_JSON_ARC % (v, w),) for w in bits(cls_out)],
-            ), "      "),
-            ("\n    }",),
-        )
+        _JSON_CLASS % (v, idx)
+        + "".join(_json_array(_sorted_members(
+            v, cls_in,
+            [_JSON_ARC % (u, v) for u in bits(cls_in)],
+            [_JSON_ARC % (v, w) for w in bits(cls_out)],
+        ), "      "))
+        + "\n    }"
         for v, group in enumerate(groups)
         for idx, (cls_in, cls_out) in enumerate(group, start=1)
     )
-    edges = ((_JSON_EDGE % (u, w, u, i, w, j),) for u, row in enumerate(rows) for w, i, j in row)
+    edges = (_JSON_EDGE % (u, w, u, i, w, j) for u, row in enumerate(rows) for w, i, j in row)
     yield '{\n  "classes": '
     yield from _json_array(classes, "  ")
     yield ',\n  "edges": '

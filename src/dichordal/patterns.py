@@ -15,7 +15,11 @@ Two families matter for semi-strict chordality:
 
 Combined with chordality of the symmetric part these characterize
 semi-strict chordality inside the weakly quasi-transitive and locally
-semicomplete classes.
+semicomplete classes.  `_rhs(d, *detectors)` is the one statement of such
+a right side: the symmetric part by the greedy loop on the digon masks,
+then each detector in turn.  `theorem4_rhs` (fig1), `theorem5_rhs` (fig1,
+dicycle, lollipop) and the theorem-5 tail of `verify` (with its table
+lookup for fig1) differ only in the detectors they pass.
 
 All three detectors search neighbourhood bitmasks, computed once per
 digraph: the non-neighbours, the non-symmetric out-neighbours (out &
@@ -66,8 +70,10 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .chordality import Variant, is_chordal
-from .digraph import Digraph, PairKind, bits, pair_slots, symmetric_subdigraph
+from .chordality import _greedy
+from .chordality import is_chordal  # noqa: F401  -- perfbench's tracer binds this name
+from .digraph import Digraph, PairKind, bits, pair_slots
+from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
 
 
 class EdgeConstraint(Enum):
@@ -420,20 +426,32 @@ def find_nonsym_induced_dicycle(
     return None
 
 
+def _rhs(d: Digraph, *detectors) -> bool:
+    """A theorem's right side: the symmetric part semi-strict chordal, and
+    each detector, in turn, finding nothing in d.
+
+    The symmetric part is decided by the greedy loop on the digon masks:
+    they are the in-, out- and digon masks of `symmetric_subdigraph(d)`,
+    so this is `is_chordal(symmetric_subdigraph(d), SEMI_STRICT)` without
+    building it.  A detector finds something when it returns a truthy
+    value (an embedding, a cycle, True).
+    """
+    sym = d.digon_masks
+    if _greedy(sym, sym, sym)[1]:
+        return False
+    for detect in detectors:
+        if detect(d):
+            return False
+    return True
+
+
 def theorem4_rhs(d: Digraph) -> bool:
     """Symmetric part semi-strict chordal, and none of the four small
     obstructions present."""
-    return (
-        is_chordal(symmetric_subdigraph(d), Variant.SEMI_STRICT)
-        and find_any_fig1(d) is None
-    )
+    return _rhs(d, find_any_fig1)
 
 
 def theorem5_rhs(d: Digraph) -> bool:
     """Like theorem4_rhs, plus no induced non-symmetric directed cycle and
     no lollipop."""
-    return (
-        theorem4_rhs(d)
-        and find_nonsym_induced_dicycle(d, 3) is None
-        and find_lollipop(d) is None
-    )
+    return _rhs(d, find_any_fig1, find_nonsym_induced_dicycle, find_lollipop)

@@ -44,6 +44,11 @@ The knotting deletion probe compares a vertex's splitting classes in D
 and in D - v as `knotting._class_masks` pairs on D's own masks, so it
 builds no induced copy, no knotting graph and no per-arc class index.
 
+The theorem-5 tail's judge states its right side through
+`patterns._rhs`, as `theorem4_rhs` and `theorem5_rhs` do, passing
+`contains_fig1` for fig1; it reads its detectors from this module's
+bindings when it is called, so a rebinding reaches the tail too.
+
 The object path (is_chordal and the find_* detectors) is the route
 independent of the tables; the test suite cross-checks every table and
 prefilter against it at n <= 5.
@@ -60,20 +65,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .chordality import (
-    Variant,
-    _greedy,
-    is_chordal,
-    oracle_is_chordal,
-    underlying_SD_is_chordal,
-)
+from .chordality import Variant, is_chordal, oracle_is_chordal, underlying_SD_is_chordal
 from .classes import generate_locally_semicomplete, is_symmetric
 from .digraph import Digraph, digraph_count, digraph_from_index, random_digraph, serialize
 from .digraph import induced  # noqa: F401  -- perfbench's tracer binds this name
 from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
 from .knotting import _class_masks, ss_chordal_via_knotting, theorem2_oracle
 from .knotting import knotting_graph  # noqa: F401  -- perfbench's tracer binds this name
-from .patterns import find_lollipop, find_nonsym_induced_dicycle
+from .patterns import _rhs, find_lollipop, find_nonsym_induced_dicycle
 from .patterns import find_any_fig1  # noqa: F401  -- perfbench's tracer binds this name
 from .tables import (
     TABLE_MAX_N,
@@ -239,27 +238,6 @@ def contains_fig1(d: Digraph) -> bool:
     return any_induced(containment_table("fig1", k), k, d)
 
 
-def _theorem5_rhs_fast(d: Digraph) -> bool:
-    """`patterns.theorem5_rhs(d)`, for the theorem-5 tail: the one deliberate
-    twin of a public predicate, kept because the tail is most of a
-    theorem-5 run.
-
-    The symmetric part is decided by the greedy loop on the digon masks:
-    they are the in-, out- and digon masks of `symmetric_subdigraph(d)`,
-    so this is `is_chordal(symmetric_subdigraph(d), SEMI_STRICT)` without
-    building it.  fig1 is looked up in the tables (`contains_fig1`).
-    `patterns.theorem5_rhs` stays the independent object-path route; the
-    tests compare the two.
-    """
-    sym = d.digon_masks
-    return (
-        not _greedy(sym, sym, sym)[1]
-        and find_nonsym_induced_dicycle(d, 3) is None
-        and not contains_fig1(d)
-        and find_lollipop(d) is None
-    )
-
-
 # -- the two workers ----------------------------------------------------------------
 
 
@@ -355,7 +333,7 @@ def _judge_recognizers(d: Digraph) -> tuple:
 
 def _judge_theorem5_tail(d: Digraph) -> tuple:
     lhs = is_chordal(d, Variant.SEMI_STRICT)
-    rhs = _theorem5_rhs_fast(d)
+    rhs = _rhs(d, find_nonsym_induced_dicycle, contains_fig1, find_lollipop)
     return ((lhs == rhs, {"n": d.n, "lhs": lhs, "rhs": rhs}),)
 
 

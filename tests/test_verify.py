@@ -17,11 +17,19 @@ from dichordal.digraph import (
     serialize,
     symmetric_subdigraph,
 )
-from dichordal.patterns import find_any_fig1, theorem5_rhs
+from dichordal.patterns import (
+    expand_template,
+    find_any_fig1,
+    find_lollipop,
+    find_nonsym_induced_dicycle,
+    lollipop_template,
+    theorem4_rhs,
+    theorem5_rhs,
+)
 from dichordal.verify import (
     _deletion_derived_mismatch,
+    _judge_theorem5_tail,
     _lsc_tail,
-    _theorem5_rhs_fast,
     check_nesting,
     check_recognizer_equivalence,
     check_theorem4,
@@ -53,24 +61,59 @@ def test_contains_fig1_matches_matcher():
             assert contains_fig1(d) == (find_any_fig1(d) is not None)
 
 
+def _tail_rhs(d):
+    ((_, sides),) = _judge_theorem5_tail(d)
+    return sides["rhs"]
+
+
 def test_fast_rhs_paths_match_public_ops():
     for seed in range(80):
         d = random_digraph(5 + seed % 3, (2, 1, 1, 2), seed=seed)
-        assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
+        assert _tail_rhs(d) == theorem5_rhs(d)
     for d in enumerate_digraphs(3):
-        assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
+        assert _tail_rhs(d) == theorem5_rhs(d)
     # the theorem-5 tail's own inputs
     for seed in (0, 1, 2):
         for i in range(1000):
             d = _lsc_tail(range(6, 9), seed, i)
-            assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
+            assert _tail_rhs(d) == theorem5_rhs(d)
     # the digon-mask greedy is the semi-strict test of the symmetric part
     for d in enumerate_digraphs(4):
         sym = d.digon_masks
         assert (not _greedy(sym, sym, sym)[1]) == is_chordal(
             symmetric_subdigraph(d), Variant.SEMI_STRICT
         )
-        assert _theorem5_rhs_fast(d) == theorem5_rhs(d)
+        assert _tail_rhs(d) == theorem5_rhs(d)
+
+
+def _old_theorem4_rhs(d):
+    """theorem4_rhs as it was written before the right sides shared one
+    body: a symmetric copy judged by is_chordal, then the fig1 search."""
+    return (
+        is_chordal(symmetric_subdigraph(d), Variant.SEMI_STRICT)
+        and find_any_fig1(d) is None
+    )
+
+
+def _old_theorem5_rhs(d):
+    return (
+        _old_theorem4_rhs(d)
+        and find_nonsym_induced_dicycle(d, 3) is None
+        and find_lollipop(d) is None
+    )
+
+
+def test_theorem_rhs_equal_their_old_definitions():
+    lollipops = [d for k in (1, 2) for d in expand_template(lollipop_template(k))]
+    # tail samples of seed 101 that only the dicycle, or only a lollipop, rules out
+    tail = [_lsc_tail(range(6, 9), 101, i) for i in (31047, 17691, 27486)]
+    cases = itertools.chain(*map(enumerate_digraphs, range(5)), lollipops, tail)
+    for d in cases:
+        assert theorem4_rhs(d) == _old_theorem4_rhs(d), serialize(d)
+        assert theorem5_rhs(d) == _old_theorem5_rhs(d), serialize(d)
+    # only theorem 5's own clauses rule out the lollipops and tail samples
+    assert all(map(theorem4_rhs, lollipops + tail))
+    assert not any(map(theorem5_rhs, lollipops + tail))
 
 
 def test_recognizer_equivalence_small():
