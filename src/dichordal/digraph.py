@@ -30,6 +30,12 @@ Those three, `induced`, `symmetric_subdigraph` and the locally semicomplete
 generator (`classes.generate_locally_semicomplete`, which grows the in-
 and out-masks together) write masks straight into the one private mask
 constructor, `_from_masks`.
+
+The way back is the one pair-code encoder, `digraph_to_index(d,
+vertices)`: it reads each pair's code from the out-masks, for the whole
+digraph, for the subdigraph induced on an ascending vertex subset, or for
+a relabelling given as a permutation.  It is the only code that writes an
+index from a Digraph; `d.codes` stays the public per-pair view.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import bisect
 import itertools
 import math
 import random
+import sys
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -403,10 +410,19 @@ def digraph_from_index(n: int, index: int) -> Digraph:
     return _from_masks(tuple(out), tuple(inn))
 
 
-def digraph_to_index(d: Digraph) -> int:
-    index = 0
-    for c in d.codes:
-        index = (index << 2) | c
+def digraph_to_index(d: Digraph, vertices: Sequence[int] | None = None) -> int:
+    """Index of the digraph that d induces on the distinct `vertices` (all
+    of d by default), relabelled 0, 1, ... in the order given.
+
+    The one pair-code encoder: in slot order, pair (s[i], s[j]), i < j,
+    gets bit 0 from the arc s[i] -> s[j] and bit 1 from the arc back, read
+    straight from the out-masks.  An ascending `vertices` gives the induced
+    subdigraph, and a permutation of range(d.n) a relabelling."""
+    out, index = d.out_masks, 0
+    s = range(d.n) if vertices is None else vertices
+    for j, y in enumerate(s):
+        for x in s[:j]:
+            index = index << 2 | (out[x] >> y & 1) | (out[y] >> x & 1) << 1
     return index
 
 
@@ -430,17 +446,20 @@ def random_digraph(
     """Each unordered pair drawn independently with the given kind weights.
 
     Weights are (non-adjacent, forward, backward, digon); they must be
-    finite and nonnegative with a positive sum.  Deterministic for a fixed
-    seed.  n must lie in 0..MAX_VERTICES.
+    finite and nonnegative, with a positive sum that a float holds.  A
+    kind of weight 0 is never drawn.  Deterministic for a fixed seed.  n
+    must lie in 0..MAX_VERTICES.
     """
     check_vertex_count(n)
     if len(kind_weights) != 4 or not all(0 <= w < math.inf for w in kind_weights):
         raise ValueError("kind_weights must be 4 finite nonnegative numbers")
-    total = float(sum(kind_weights))
-    if total <= 0:
-        raise ValueError("kind_weights must have positive sum")
-    # kind 3 takes every r past cum[2], whatever rounding leaves in cum[3]
-    cum = list(itertools.accumulate(w / total for w in kind_weights))[:3]
+    total = sum(kind_weights)
+    if not 0 < total <= sys.float_info.max:
+        raise ValueError("kind_weights must have a positive sum within the float range")
+    # the last kind of positive weight takes every r past the cumulative
+    # weight before it, whatever rounding leaves in its own
+    last = max(k for k, w in enumerate(kind_weights) if w)
+    cum = list(itertools.accumulate(w / float(total) for w in kind_weights))[:last]
     rng = random.Random(seed)
     return Digraph(n, [bisect.bisect_right(cum, rng.random()) for _ in range(n * (n - 1) // 2)])
 

@@ -4,9 +4,11 @@ Entry i of an order-n table answers one question about
 digraph_from_index(n, i).  Every question kept here is hereditary, and the
 subdigraph induced on an ascending vertex set S is a fixed remap of the
 base-4 digits, subset_index(n, S, i): runs of consecutive digits, since
-S keeps the order of its pairs.  With del_v(i) the index of D - v, each
-table is a vectorized recurrence over the table of order n-1, built on
-first use and cached:
+S keeps the order of its pairs.  From a Digraph d the same index is
+digraph_to_index(d, S), the one pair-code encoder in `digraph`;
+subset_index serves the vectorized remaps of whole index arrays.  With
+del_v(i) the index of D - v, each table is a vectorized recurrence over
+the table of order n-1, built on first use and cached:
 
   greedy semi-strict chordality   T_n[i] = OR_v simp_v(i) & T_{n-1}[del_v(i)]
   containment of a family F       C_n[i] = base_n(i) | OR_v C_{n-1}[del_v(i)]
@@ -14,17 +16,19 @@ first use and cached:
 
 simp_v says that v is semi-strict di-simplicial, and base_n marks every
 labelling of a member of F on exactly n vertices.  The members come from
-expand_template (or the plain k-cycle) under all n! relabellings, so the
-containment tables share no code with the backtracking matcher
+expand_template (or the plain k-cycle) under all n! relabellings, each
+written as digraph_to_index(member, perm), so the containment tables
+share no code with the backtracking matcher
 find_induced; the test suite cross-checks each table against its
 object-path detector.  The classes (weakly quasi-transitive, locally
 semicomplete) are decided on three vertices, as every violation is a
 triple: M_k for k <= 3 comes from the object predicates, and every 3-set
-of a larger digraph misses some v.  M is built by a row function rows(n,
-idx) in CHUNK-row pieces (`_table`), and cached up to order TABLE_MAX_N,
-as T and C are; `wqt_mask` and `lsc_mask` evaluate the rows above it per
-chunk.  They are the per-index route that the tests check the block rule
-below against.
+of a larger digraph misses some v.  M is built by its row function
+`_class_rows` in CHUNK-row pieces (`_table`) and, like T and C, stops at
+order TABLE_MAX_N: `wqt_mask` and `lsc_mask` read the cached table and
+refuse a higher order.  `_class_rows` is the per-index route that the
+tests check the block rule below against, also at order TABLE_MAX_N + 1,
+where it reads the order-TABLE_MAX_N table.
 
 Extension blocks.  The pairs of the last vertex are the last slots, the
 low 2(n-1) bits of an index, so the one-vertex extensions of order-(n-1)
@@ -251,13 +255,6 @@ def symmetric_index(idx: np.ndarray) -> np.ndarray:
     return digon | (digon << 1)
 
 
-def any_induced(table: np.ndarray, k: int, d: Digraph) -> bool:
-    """Is table[D[S]] true for some k-subset S of d's vertices?  `table`
-    is an order-k table."""
-    i = digraph_to_index(d)
-    return any(table[subset_index(d.n, s, i)] for s in itertools.combinations(range(d.n), k))
-
-
 # -- semi-strict chordality -------------------------------------------------------
 
 
@@ -358,17 +355,8 @@ def _members(family: str, k: int) -> list[Digraph]:
 def _base(family: str, n: int) -> np.ndarray:
     """Indices of every relabelling of every member of `family` on exactly
     n vertices."""
-    slots = pair_slots(n)
-    base = set()
-    members = [d.codes for d in _members(family, n)]  # derived once, not per relabelling
-    for codes, perm in itertools.product(members, itertools.permutations(range(n))):
-        index = 0
-        for (a, b), c in zip(slots, codes):
-            x, y = perm[a], perm[b]
-            if x > y:  # the pair is stored the other way round: swap the arcs
-                x, y, c = y, x, ((c & 1) << 1) | (c >> 1)
-            index |= c << 2 * (len(slots) - 1 - slot_index(x, y))
-        base.add(index)
+    perms = list(itertools.permutations(range(n)))
+    base = {digraph_to_index(d, perm) for d in _members(family, n) for perm in perms}
     return np.fromiter(base, dtype=np.int64, count=len(base))
 
 
@@ -408,7 +396,7 @@ def _class_rows(member, n: int, idx: np.ndarray) -> np.ndarray:
         )
     ok = np.ones(idx.size, dtype=bool)
     for v in range(n):
-        ok &= _class_mask(member, n - 1, deleted_index(n, v, idx))
+        ok &= _class_table(member, n - 1)[deleted_index(n, v, idx)]
     return ok
 
 
@@ -417,19 +405,11 @@ def _class_table(member, n: int) -> np.ndarray:
     return _table(n, partial(_class_rows, member))
 
 
-def _class_mask(member, n: int, idx: np.ndarray) -> np.ndarray:
-    """member(digraph_from_index(n, i)) for each i in idx, from a cached
-    table up to order TABLE_MAX_N and evaluated above it."""
-    if n > TABLE_MAX_N:
-        return _class_rows(member, n, idx)
-    return _class_table(member, n)[idx]
-
-
 def wqt_mask(n: int, idx: np.ndarray) -> np.ndarray:
     """Weak quasi-transitivity of digraph_from_index(n, i) for each i in idx."""
-    return _class_mask(is_weakly_quasi_transitive, n, idx)
+    return _class_table(is_weakly_quasi_transitive, n)[idx]
 
 
 def lsc_mask(n: int, idx: np.ndarray) -> np.ndarray:
     """Local semicompleteness of digraph_from_index(n, i) for each i in idx."""
-    return _class_mask(is_locally_semicomplete, n, idx)
+    return _class_table(is_locally_semicomplete, n)[idx]

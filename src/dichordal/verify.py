@@ -48,6 +48,8 @@ The theorem-5 tail's judge states its right side through
 `patterns._rhs`, as `theorem4_rhs` and `theorem5_rhs` do, passing
 `contains_fig1` for fig1; it reads its detectors from this module's
 bindings when it is called, so a rebinding reaches the tail too.
+`contains_fig1` looks up the fig1 table at `digraph_to_index(d, s)` for
+each k-subset s, the one pair-code encoder reading d's masks.
 
 The object path (is_chordal and the find_* detectors) is the route
 independent of the tables; the test suite cross-checks every table and
@@ -56,6 +58,7 @@ prefilter against it at n <= 5.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -67,7 +70,8 @@ import numpy as np
 
 from .chordality import Variant, is_chordal, oracle_is_chordal, underlying_SD_is_chordal
 from .classes import generate_locally_semicomplete, is_symmetric
-from .digraph import Digraph, digraph_count, digraph_from_index, random_digraph, serialize
+from .digraph import Digraph, digraph_count, digraph_from_index, digraph_to_index
+from .digraph import random_digraph, serialize
 from .digraph import induced  # noqa: F401  -- perfbench's tracer binds this name
 from .digraph import symmetric_subdigraph  # noqa: F401  -- perfbench's tracer binds this name
 from .knotting import _class_masks, ss_chordal_via_knotting, theorem2_oracle
@@ -76,7 +80,6 @@ from .patterns import _rhs, find_lollipop, find_nonsym_induced_dicycle
 from .patterns import find_any_fig1  # noqa: F401  -- perfbench's tracer binds this name
 from .tables import (
     TABLE_MAX_N,
-    any_induced,
     block_chunks,
     block_size,
     containment_table,
@@ -235,7 +238,8 @@ def contains_fig1(d: Digraph) -> bool:
     `containment_table`, as `_table_scan` does, so rebinding it reaches
     the theorem-5 tail too."""
     k = min(d.n, 4)
-    return any_induced(containment_table("fig1", k), k, d)
+    table = containment_table("fig1", k)
+    return any(table[digraph_to_index(d, s)] for s in itertools.combinations(range(d.n), k))
 
 
 # -- the two workers ----------------------------------------------------------------

@@ -6,13 +6,18 @@ table; it must give exactly the rows that filtering every index gives, in
 the same (ascending) order, for any range a shard can get.
 """
 
+import random
+from functools import partial
+
 import numpy as np
 import pytest
 
 from dichordal import verify
-from dichordal.digraph import digraph_count
+from dichordal.classes import is_locally_semicomplete, is_weakly_quasi_transitive
+from dichordal.digraph import digraph_count, digraph_from_index
 from dichordal.tables import (
     CHUNK,
+    _class_rows,
     block_chunks,
     deleted_index,
     index_chunks,
@@ -82,9 +87,37 @@ def test_shard_pieces_concatenate_to_the_full_scan(keep):
 
 def test_blocks_reach_past_the_table_orders():
     # order 6 through the order-5 prefilter rows: a range that starts and
-    # ends inside a block
+    # ends inside a block, against the per-index recurrence over the
+    # order-5 table (no class table holds order 6)
     start, stop = 3 * 4**5 + 7, 700 * 4**5 + 17
-    assert np.array_equal(_rows(wqt_mask, 6, start, stop), _expected(wqt_mask, 6, start, stop))
+    rows = partial(_class_rows, is_weakly_quasi_transitive)
+    assert np.array_equal(_rows(wqt_mask, 6, start, stop), _expected(rows, 6, start, stop))
+
+
+def test_class_masks_stop_at_the_table_orders():
+    with pytest.raises(ValueError, match="lookup tables cover orders"):
+        wqt_mask(6, np.zeros(1, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "keep, member",
+    [(wqt_mask, is_weakly_quasi_transitive), (lsc_mask, is_locally_semicomplete)],
+    ids=["wqt", "lsc"],
+)
+def test_order6_blocks_match_the_object_path(keep, member):
+    # ten blocks of member parents and ten of any parents, each decided row
+    # by row on the built digraphs; `keep` itself, not a fresh wrapper, so
+    # the block rule is built once
+    order5 = np.arange(digraph_count(5), dtype=np.int64)
+    rng = random.Random(20221006)
+    parents = rng.sample(order5[keep(5, order5)].tolist(), 10) + rng.sample(range(4**10), 10)
+    kept = 0
+    for p in parents:
+        start, stop = p * 4**5, (p + 1) * 4**5
+        got = [i for rows in block_chunks(keep, 6, start, stop) for i in rows.tolist()]
+        assert got == [i for i in range(start, stop) if member(digraph_from_index(6, i))], p
+        kept += len(got)
+    assert kept == {wqt_mask: 2_029, lsc_mask: 2_544}[keep]
 
 
 def test_theorem4_order_zero_keeps_its_single_row():

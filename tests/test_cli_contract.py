@@ -275,6 +275,13 @@ def test_gen_rejects_non_finite_weights(capsys, weights):
         random_digraph(4, tuple(float(w) for w in weights.split(",")))
 
 
+def test_gen_rejects_weights_whose_sum_overflows(capsys):
+    # 1e308 + 1e308 is inf as a float: every cumulative weight read 0 and
+    # every pair was drawn as a digon, of weight 0
+    err = _rejected(capsys, ["gen", "--class", "random", "--n", "4", "--weights=1e308,1e308,0,0"])
+    assert err == "error: kind_weights must have a positive sum within the float range\n"
+
+
 def _old_serialize(d, names=None):
     lines = [f"{d.n} {d.arc_count}"]
     lines.extend(f"{u} {v}" for u, v in d.arcs())

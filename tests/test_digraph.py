@@ -322,6 +322,33 @@ def test_random_digraph_bad_weights(weights):
         random_digraph(3, weights, seed=0)
 
 
+@pytest.mark.parametrize("weights", [(1e308, 1e308, 0, 0), (10**400, 1, 1, 1), (0, 0, 10**309, 0)])
+def test_random_digraph_refuses_a_sum_past_the_float_range(weights):
+    with pytest.raises(ValueError, match="float range"):
+        random_digraph(4, weights, seed=0)
+
+
+class _TopDraw(random.Random):
+    """Every draw is the largest float below 1."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+@pytest.mark.parametrize("weights, kind", [
+    ((0.7, 0.7, 0.1, 0), 2), ((0.1, 0.001, 0.001, 0), 2), ((4, 0.001, 0, 0), 1),
+    ((1e308, 1e307, 0, 0), 1), ((1, 1, 1, 1), 3),
+])
+def test_random_digraph_never_draws_a_kind_of_weight_zero(monkeypatch, weights, kind):
+    # the top draw goes to the last kind of positive weight, also where
+    # rounding leaves the cumulative weights at or below it (kind 2 here)
+    total = float(sum(weights))
+    cum = list(itertools.accumulate(w / total for w in weights))
+    assert kind != 2 or cum[2] <= _TopDraw().random()
+    monkeypatch.setattr(random_digraph.__globals__["random"], "Random", _TopDraw)
+    assert set(random_digraph(5, weights, seed=0).codes) == {kind}
+
+
 def test_serialize_example1(ex1):
     text = serialize(ex1)
     lines = text.splitlines()
