@@ -94,11 +94,6 @@ def test_blocks_reach_past_the_table_orders():
     assert np.array_equal(_rows(wqt_mask, 6, start, stop), _expected(rows, 6, start, stop))
 
 
-def test_class_masks_stop_at_the_table_orders():
-    with pytest.raises(ValueError, match="lookup tables cover orders"):
-        wqt_mask(6, np.zeros(1, dtype=np.int64))
-
-
 @pytest.mark.parametrize(
     "keep, member",
     [(wqt_mask, is_weakly_quasi_transitive), (lsc_mask, is_locally_semicomplete)],

@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -345,7 +346,7 @@ def test_random_digraph_never_draws_a_kind_of_weight_zero(monkeypatch, weights, 
     total = float(sum(weights))
     cum = list(itertools.accumulate(w / total for w in weights))
     assert kind != 2 or cum[2] <= _TopDraw().random()
-    monkeypatch.setattr(random_digraph.__globals__["random"], "Random", _TopDraw)
+    monkeypatch.setattr("dichordal.digraph.random", types.SimpleNamespace(Random=_TopDraw))
     assert set(random_digraph(5, weights, seed=0).codes) == {kind}
 
 

@@ -128,6 +128,8 @@ def test_tables_refuse_unknown_family_and_large_orders():
         containment_table("no-such-family", 3)
     with pytest.raises(ValueError):
         semi_strict_table(6)
+    with pytest.raises(ValueError, match="lookup tables cover orders"):
+        wqt_mask(6, np.zeros(1, dtype=np.int64))
 
 
 def test_theorem_reports_identical_across_shard_counts():
