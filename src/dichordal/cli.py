@@ -324,46 +324,29 @@ def cmd_enumerate(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dichordal",
-        description="Chordality variants of digraphs: recognition, knotting "
-        "graphs, forbidden patterns, and exhaustive verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_input(p, func) -> None:
+    """A command that reads one digraph: its input, --json and `func`."""
+    p.add_argument("input", help="digraph file path, or - for stdin")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(func=func)
 
-    def add_input(p):
-        p.add_argument("input", help="digraph file path, or - for stdin")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("recognize", help="test a digraph for (variant-)chordality")
-    add_input(p)
-    p.add_argument(
-        "--variant",
-        choices=[*_VARIANTS, "all"],
-        default=Variant.SEMI_STRICT.value,
-    )
-    p.set_defaults(func=cmd_recognize)
+def _recognize_args(p) -> None:
+    _add_input(p, cmd_recognize)
+    p.add_argument("--variant", choices=[*_VARIANTS, "all"], default=Variant.SEMI_STRICT.value)
 
-    p = sub.add_parser("order", help="print a perfect elimination ordering")
-    add_input(p)
+
+def _order_args(p) -> None:
+    _add_input(p, cmd_order)
     p.add_argument("--variant", choices=list(_VARIANTS), default=Variant.SEMI_STRICT.value)
-    p.set_defaults(func=cmd_order)
 
-    p = sub.add_parser("knot", help="print the knotting graph")
-    add_input(p)
+
+def _knot_args(p) -> None:
+    _add_input(p, cmd_knot)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of text")
-    p.set_defaults(func=cmd_knot)
 
-    p = sub.add_parser("classify", help="report digraph class memberships")
-    add_input(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("forbidden", help="search for forbidden induced patterns")
-    add_input(p)
-    p.set_defaults(func=cmd_forbidden)
-
-    p = sub.add_parser("verify", help="run a verification check")
+def _verify_args(p) -> None:
     p.add_argument("--check", required=True)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--n-random", type=int, default=8, help="theorem5 random size cap")
@@ -375,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen", help="generate a class instance")
+
+def _gen_args(p) -> None:
     p.add_argument("--class", dest="klass", required=True,
                    choices=["wqt", "locally-semicomplete", "random"])
     p.add_argument("--n", type=int, default=6)
@@ -387,17 +371,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("enumerate", help="stream all digraphs of a given order")
+
+def _enumerate_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=5)
     p.add_argument("--filter", choices=list(_FILTERS))
     p.set_defaults(func=cmd_enumerate)
 
+
+# each command's name, help text and the function that adds its arguments
+# and sets its `func`, in the order `dichordal --help` lists them
+_COMMANDS = {
+    "recognize": ("test a digraph for (variant-)chordality", _recognize_args),
+    "order": ("print a perfect elimination ordering", _order_args),
+    "knot": ("print the knotting graph", _knot_args),
+    "classify": ("report digraph class memberships", lambda p: _add_input(p, cmd_classify)),
+    "forbidden": ("search for forbidden induced patterns", lambda p: _add_input(p, cmd_forbidden)),
+    "verify": ("run a verification check", _verify_args),
+    "gen": ("generate a class instance", _gen_args),
+    "enumerate": ("stream all digraphs of a given order", _enumerate_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser, or with only `command`'s."""
+    parser = argparse.ArgumentParser(
+        prog="dichordal",
+        description="Chordality variants of digraphs: recognition, knotting "
+        "graphs, forbidden patterns, and exhaustive verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's subparser; help, a missing or unknown
+    # command and a leading option or "--" take the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extras = build_parser(command).parse_known_args(argv)
+    if extras:  # argparse's own error, under the usage line of every command
+        build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

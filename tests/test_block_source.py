@@ -7,7 +7,7 @@ the same (ascending) order, for any range a shard can get.
 """
 
 import random
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -42,8 +42,12 @@ def _expected(keep, n: int, start: int, stop: int) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
+@cache
 def _bounded(keep):
-    """`keep`, asserting that no array handed to it exceeds CHUNK rows."""
+    """`keep`, asserting that no array handed to it exceeds CHUNK rows.
+
+    One wrapper per `keep`: `tables._block_rule` caches by the function it
+    is given, so a fresh wrapper per call would rebuild the rule each time."""
 
     def bounded(k, idx):
         assert idx.size <= CHUNK
