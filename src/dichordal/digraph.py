@@ -43,6 +43,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 import sys
 from enum import IntEnum
@@ -115,7 +116,7 @@ class Digraph:
         self.n = len(out)
         self.out_masks = out
         self.in_masks = inn
-        self.digon_masks = tuple(a & b for a, b in zip(out, inn))
+        self.digon_masks = tuple(map(operator.and_, out, inn))
 
     @property
     def codes(self) -> tuple[int, ...]:
@@ -488,11 +489,22 @@ def check_vertex_count(n: int) -> None:
 def serialize_chunks(d: Digraph, names: Mapping[int, str] | None = None) -> Iterator[str]:
     """The text of serialize(d, names) in pieces: the header line, one
     chunk of arc lines per vertex with out-arcs, then the name lines.
-    Writing the pieces as they come holds one vertex's lines at a time."""
+    Writing the pieces as they come holds one vertex's lines at a time.
+
+    Raises ValueError for a name that the parser would refuse or read back
+    differently: one on a vertex outside 0..n-1, or one that is empty, has
+    surrounding whitespace or holds a line boundary."""
+    for v, name in (names or {}).items():
+        if not 0 <= v < d.n:
+            raise ValueError(f"name {name!r} is on vertex {v}, outside 0..{d.n - 1}")
+        if name.strip() != name or name.splitlines() != [name]:
+            raise ValueError(f"name {name!r} of vertex {v} cannot be written on one label line")
     yield f"{d.n} {d.arc_count}\n"
+    labels = _labels(d.n, None)
     for u, mask in enumerate(d.out_masks):
         if mask:
-            yield "".join([f"{u} {v}\n" for v in bits(mask)])
+            pre = labels[u] + " "
+            yield pre + ("\n" + pre).join([labels[v] for v in bits(mask)]) + "\n"
     if names:
         yield "".join([f"# {v} {names[v]}\n" for v in sorted(names)])
 
@@ -509,9 +521,11 @@ def parse(text: str) -> Digraph:
 def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
     """Parse the text format, returning the digraph and any vertex names.
 
-    The neighbourhood masks are filled line by line.  The first arc that
-    `build` would refuse is kept and raised through `build` after the arc
-    count is checked, so the errors and their order are `build`'s.
+    The neighbourhood masks are filled line by line.  An arc token that
+    is a vertex's own decimal spelling is looked up in a table of the
+    spellings of 0..n-1; only other tokens go through int().  The first arc
+    that `build` would refuse is kept and raised through `build` after the
+    arc count is checked, so the errors and their order are `build`'s.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s]
     if not lines:
@@ -528,6 +542,10 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
     check_vertex_count(n)
     out = [0] * n
     inn = [0] * n
+    # any other token ("007", "+1", a vertex out of range) or a loop goes
+    # through int(), so every message and the refused arc stay int()'s
+    vertex = {s: v for v, s in enumerate(_labels(n, None))}
+    bit = [1 << v for v in range(n)]
     count = 0
     refused = None  # the first arc build() would refuse
     names: dict[int, str] = {}
@@ -547,16 +565,20 @@ def parse_labeled(text: str) -> tuple[Digraph, dict[int, str]]:
         fields = ln.split()
         if len(fields) != 2:
             raise ValueError(f"malformed arc line {ln!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"malformed arc line {ln!r}") from None
         count += 1
-        if 0 <= u < n and 0 <= v < n and u != v:
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        elif refused is None:
-            refused = (u, v)
+        u = vertex.get(fields[0])
+        v = vertex.get(fields[1])
+        if u is None or v is None or u == v:
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ValueError(f"malformed arc line {ln!r}") from None
+            if not (0 <= u < n and 0 <= v < n and u != v):
+                if refused is None:
+                    refused = (u, v)
+                continue
+        out[u] |= bit[v]
+        inn[v] |= bit[u]
     if count != m:
         raise ValueError(f"header promises {m} arcs, found {count}")
     if refused is not None:

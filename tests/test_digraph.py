@@ -22,6 +22,7 @@ from dichordal.digraph import (
     parse_labeled,
     random_digraph,
     serialize,
+    serialize_chunks,
     substitute,
     symmetric_subdigraph,
     to_dot,
@@ -372,6 +373,39 @@ def test_labels_roundtrip(ex1):
     names = {0: "a", 1: "b", 2: "c", 3: "d"}
     d, parsed = parse_labeled(serialize(ex1, names))
     assert d == ex1 and parsed == names
+
+
+@pytest.mark.parametrize("names", [
+    {0: "a b"}, {1: "a  b\tc"}, {0: "#"}, {0: "# 1"}, {1: "#x y"}, {0: "ü"}, {0: "名前"},
+    {0: "0 1"}, {0: "1", 1: "0"}, {0: "a\u00a0b"}, {0: "x", 1: "y"}, {},
+])
+def test_names_read_back_as_written(names):
+    d = build(2, [(0, 1)])
+    assert parse_labeled(serialize(d, names)) == (d, names)
+
+
+@pytest.mark.parametrize("names, message", [
+    ({5: "x"}, "name 'x' is on vertex 5, outside 0..1"),
+    ({-1: "x"}, "name 'x' is on vertex -1, outside 0..1"),
+    ({0: ""}, "name '' of vertex 0 cannot be written on one label line"),
+    ({0: " a "}, "name ' a ' of vertex 0 cannot be written on one label line"),
+    ({0: "a "}, "name 'a ' of vertex 0 cannot be written on one label line"),
+    ({1: "\ta"}, "name '\\ta' of vertex 1 cannot be written on one label line"),
+    ({0: "a\nb"}, "name 'a\\nb' of vertex 0 cannot be written on one label line"),
+    ({0: "a\r\n"}, "name 'a\\r\\n' of vertex 0 cannot be written on one label line"),
+    ({0: "a\x1cb"}, "name 'a\\x1cb' of vertex 0 cannot be written on one label line"),
+    ({0: "a\u2028b"}, "name 'a\\u2028b' of vertex 0 cannot be written on one label line"),
+    ({0: "a\x85b"}, "name 'a\\x85b' of vertex 0 cannot be written on one label line"),
+    ({0: "a\x0bb"}, "name 'a\\x0bb' of vertex 0 cannot be written on one label line"),
+])
+def test_serialize_refuses_names_it_cannot_write(names, message):
+    # each of these was written, then refused or read back otherwise by parse
+    d = build(2, [(0, 1)])
+    with pytest.raises(ValueError) as exc:
+        serialize(d, names)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError):
+        next(serialize_chunks(d, names))  # before the header is written
 
 
 # a field that is no integer names its line, like the other format errors
