@@ -12,11 +12,8 @@ seeded corpus of other spellings, loops, out-of-range vertices and
 separators; the writer must match byte for byte.
 """
 
-import importlib.util
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,8 +30,7 @@ from dichordal.digraph import (
 )
 
 from test_digraph import CHECK_ORDER, NAMED_LINE
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+from test_query_pool_golden import _workloads
 
 
 def reference_parse_labeled(text):
@@ -235,8 +231,8 @@ HAND = [
 
 
 def test_the_corpus_reaches_every_path():
-    # the corpus holds accepted texts with other spellings, loops and
-    # out-of-range arcs in every spelling, and texts each error ends
+    # the corpus ends in every kind of error the parser raises, and its
+    # accepted texts hold each other spelling, separator and indent
     outcomes = [_outcome(reference_parse_labeled, t) for t in CORPUS + HAND]
     errors = {o[1].split(" ")[0] for o in outcomes if o[0] == "ValueError"}
     assert {"malformed", "header", "loop", "arc", "label"} <= errors
@@ -255,14 +251,6 @@ def test_parser_matches_the_reference_on_the_corpus(part):
 @pytest.mark.parametrize("text", [*NAMED_LINE, *CHECK_ORDER])
 def test_parser_matches_the_reference_on_the_pinned_errors(text):
     _assert_same_parse(text)
-
-
-def _workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_parser_and_writer_match_the_references_on_the_query_pool(monkeypatch):
