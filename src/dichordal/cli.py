@@ -6,16 +6,17 @@ Exit codes: 0 positive / all checks pass, 1 negative / counterexample
 found, 2 usage, parse or internal error.
 
 Each `main` call builds the parser afresh, with only the subparser of the
-command that argv[0] names (`_COMMANDS`); help, a missing or unknown
-command and a leading option or "--" get the full parser, and leftover
-arguments are parsed again by the full parser, so argparse reports them
-under the usage line of every command.  On 2 cores with Python 3.11.7,
-best of 300 in one process, building the parser and parsing `knot FILE`
-takes about 235 us, against about 1,110 us with all eight subparsers.  A
-fresh `python -m dichordal.cli recognize` process on a 2-vertex file
-takes a median of 112 ms against 117 ms (24 alternating runs): most of
-it is the interpreter's start (59 ms) and, where no bytecode is cached,
-compiling the package (about 23-26 ms).
+command that argv[0] names (`_COMMANDS`), and parses argv once; help, a
+missing or unknown command and a leading option or "--" get the full
+parser.  The one-command parser's usage line names every command, so
+argparse reports leftover arguments as the full parser does, with no
+second parser.  On 2 cores with Python 3.11.7, best of 300 in one
+process, building the parser and parsing `knot FILE` takes about 235 us,
+against about 1,110 us with all eight subparsers.  A fresh `python -m
+dichordal.cli recognize` process on a 2-vertex file takes a median of
+112 ms against 117 ms (24 alternating runs): most of it is the
+interpreter's start (59 ms) and, where no bytecode is cached, compiling
+the package (about 23-26 ms).
 """
 
 from __future__ import annotations
@@ -275,11 +276,8 @@ def cmd_verify(args) -> int:
     from .verify import CHECKS, _check_samples  # numpy: only this command loads it
 
     if args.check not in CHECKS:
-        print(
-            f"unknown check {args.check!r}; choose from {', '.join(sorted(CHECKS))}",
-            file=sys.stderr,
-        )
-        return 2
+        choices = ", ".join(sorted(CHECKS))
+        raise ValueError(f"unknown check {args.check!r}; choose from {choices}")
     given = {}  # the check's own default applies unless --samples is given
     if args.samples is not None:
         _check_samples(args.samples)  # also for theorem4 and nesting, which take none
@@ -406,13 +404,18 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command's subparser, or with only `command`'s."""
+    """The parser with every command's subparser, or with only `command`'s.
+
+    The one-command parser names every command in its metavar, the string
+    argparse derives for the full parser, so its usage line is the full
+    parser's."""
     parser = argparse.ArgumentParser(
         prog="dichordal",
         description="Chordality variants of digraphs: recognition, knotting "
         "graphs, forbidden patterns, and exhaustive verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, add_arguments) in _COMMANDS.items():
         if command in (None, name):
             add_arguments(sub.add_parser(name, help=help_text))
@@ -422,9 +425,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extras = build_parser(command).parse_known_args(argv)
-    if extras:  # exits 2 with argparse's error under the usage line of every command
-        build_parser().parse_args(argv)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

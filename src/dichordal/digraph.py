@@ -492,12 +492,14 @@ def serialize_chunks(d: Digraph, names: Mapping[int, str] | None = None) -> Iter
     Writing the pieces as they come holds one vertex's lines at a time.
 
     Raises ValueError for a name that the parser would refuse or read back
-    differently: one on a vertex outside 0..n-1, or one that is empty, has
-    surrounding whitespace or holds a line boundary."""
+    differently: one whose key is not an int in 0..n-1, or one that is not
+    a str, is empty, has surrounding whitespace or holds a line boundary.
+    A label line spells its vertex as an arc line does, so a bool key is
+    written as the int it equals."""
     for v, name in (names or {}).items():
-        if not 0 <= v < d.n:
-            raise ValueError(f"name {name!r} is on vertex {v}, outside 0..{d.n - 1}")
-        if name.strip() != name or name.splitlines() != [name]:
+        if not (isinstance(v, int) and 0 <= v < d.n):
+            raise ValueError(f"name {name!r} is on vertex {v!r}, outside 0..{d.n - 1}")
+        if not isinstance(name, str) or name.strip() != name or name.splitlines() != [name]:
             raise ValueError(f"name {name!r} of vertex {v} cannot be written on one label line")
     yield f"{d.n} {d.arc_count}\n"
     labels = _labels(d.n, None)
@@ -506,7 +508,7 @@ def serialize_chunks(d: Digraph, names: Mapping[int, str] | None = None) -> Iter
             pre = labels[u] + " "
             yield pre + ("\n" + pre).join([labels[v] for v in bits(mask)]) + "\n"
     if names:
-        yield "".join([f"# {v} {names[v]}\n" for v in sorted(names)])
+        yield "".join([f"# {labels[v]} {names[v]}\n" for v in sorted(names)])
 
 
 def serialize(d: Digraph, names: Mapping[int, str] | None = None) -> str:

@@ -315,7 +315,7 @@ def _lsc_tail(sizes: range, seed: int, i: int) -> Digraph:
 
 
 def _probe_digraph(n: int, seed: int, i: int) -> Digraph:
-    return random_digraph(2 + (i % max(1, n - 1)), (1, 1, 1, 1), seed=seed * 1_000_003 + i)
+    return random_digraph(2 + i % (n - 1), (1, 1, 1, 1), seed=seed * 1_000_003 + i)
 
 
 # -- judges -------------------------------------------------------------------------
@@ -427,9 +427,7 @@ def check_theorem5(
     jobs = [
         _table_job(lsc_mask, families, True, size) for size in range(1, n_exhaustive + 1)
     ]
-    if sizes:
-        tail = (_lsc_tail, _judge_theorem5_tail, (sizes, seed))
-        jobs.append(Job(_object_scan, tail, samples))
+    jobs.append(Job(_object_scan, (_lsc_tail, _judge_theorem5_tail, (sizes, seed)), samples))
     params = {
         "n_exhaustive": n_exhaustive,
         "n_random": n_random,

@@ -149,8 +149,8 @@ CORPUS = VALID + [
     ["enumerate"],
 ]
 
-# the argvs that parse with argparse's leftovers: main must report them
-# through the full parser
+# the argvs that leave arguments over: the one parse of their command's
+# parser must report them as the full parser did
 LEFTOVERS = [
     ["knot", F, "--bogus"],
     ["knot", F, "--bogus", "extra"],
@@ -256,3 +256,19 @@ def test_every_call_builds_its_own_parser(capsys, small, built):
     assert cli.main(["knot", str(small)]) == 0
     assert cli.main(["knot", str(small)]) == 0
     assert built == ["knot", "knot"]
+
+
+@pytest.mark.parametrize("argv", LEFTOVERS, ids=[" ".join(a) for a in LEFTOVERS])
+def test_leftover_arguments_build_only_their_command(capsys, small, built, argv):
+    with pytest.raises(SystemExit):
+        cli.main(_argv(argv, small))
+    assert built == [argv[0]]
+
+
+def test_an_unknown_check_is_a_usage_error(capsys, monkeypatch):
+    assert _run(capsys, monkeypatch, cli.main, ["verify", "--check", "bogus"]) == (
+        2,
+        "",
+        "error: unknown check 'bogus'; choose from "
+        "knotting-deletion, nesting, recognizers, theorem4, theorem5\n",
+    )

@@ -397,6 +397,12 @@ def test_names_read_back_as_written(names):
     ({0: "a\u2028b"}, "name 'a\\u2028b' of vertex 0 cannot be written on one label line"),
     ({0: "a\x85b"}, "name 'a\\x85b' of vertex 0 cannot be written on one label line"),
     ({0: "a\x0bb"}, "name 'a\\x0bb' of vertex 0 cannot be written on one label line"),
+    # a key that is no int, or a name that is no str, raised AttributeError
+    # or TypeError, or wrote a label line that parse refuses
+    ({0: 5}, "name 5 of vertex 0 cannot be written on one label line"),
+    ({0: None}, "name None of vertex 0 cannot be written on one label line"),
+    ({"a": "x"}, "name 'x' is on vertex 'a', outside 0..1"),
+    ({0.0: "x"}, "name 'x' is on vertex 0.0, outside 0..1"),
 ])
 def test_serialize_refuses_names_it_cannot_write(names, message):
     # each of these was written, then refused or read back otherwise by parse
@@ -406,6 +412,12 @@ def test_serialize_refuses_names_it_cannot_write(names, message):
     assert str(exc.value) == message
     with pytest.raises(ValueError):
         next(serialize_chunks(d, names))  # before the header is written
+
+
+def test_a_bool_key_is_written_as_the_vertex_it_equals():
+    d = build(2, [(0, 1)])
+    assert serialize(d, {True: "x", 0: "y"}) == "2 1\n0 1\n# 0 y\n# 1 x\n"
+    assert parse_labeled(serialize(d, {True: "x"}))[1] == {1: "x"}
 
 
 # a field that is no integer names its line, like the other format errors

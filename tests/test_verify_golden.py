@@ -97,3 +97,50 @@ def test_deletion_probe_builds_no_copy(monkeypatch):
     monkeypatch.setattr(verify, "knotting_graph", refuse)
     monkeypatch.setattr(verify, "induced", refuse)
     assert _digest(check, params) == digest
+
+
+def _golden(check: str, params: dict) -> str:
+    """GOLDEN's digest of the unblanked case."""
+    return next(d for c, p, b, d in GOLDEN if (c, p, b) == (check, params, False))
+
+
+# theorem 5 with no tail samples: the tail job of 0 samples has no part,
+# so no sample is drawn, whether or not any size lies above n_exhaustive
+NO_TAIL = [
+    ({"n_exhaustive": 5, "n_random": 5},
+     _golden("theorem5", {"n_exhaustive": 5, "n_random": 5, "samples": 0})),
+    ({"n_exhaustive": 5, "n_random": 8, "samples": 0},
+     "65bca556b16cee8874e71bd868cbeda179eccfc8de592f813c08ab8c1962e312"),
+]
+
+
+@pytest.mark.parametrize("params, digest", NO_TAIL, ids=["empty-sizes", "no-samples"])
+def test_theorem5_without_samples_draws_no_tail(monkeypatch, params, digest):
+    def refuse(*args):
+        raise AssertionError("a tail sample was drawn")
+
+    monkeypatch.setattr(verify, "_lsc_tail", refuse)
+    assert _digest("theorem5", params) == digest
+
+
+# the deletion probe at its smallest order, and with sizes cycling through 2..n
+PROBE = [
+    ({"n": 2, "samples": 5}, [2] * 5,
+     "77211a89f450e8e36646256f8ea01872dd4376e442302e0d25a4ad7fa6317b27"),
+    ({"n": 5, "samples": 12}, [2, 3, 4, 5] * 3,
+     "d859a9d98b3967390a6ab0a92d6037ef6e19290e8fc1e7e5150f4e0c6495fa08"),
+]
+
+
+@pytest.mark.parametrize("params, sizes, digest", PROBE, ids=["n2", "n5"])
+def test_deletion_probe_sizes_cycle_through_2_to_n(monkeypatch, params, sizes, digest):
+    drawn = []
+    real = verify.random_digraph
+
+    def recording(n, *args, **kwargs):
+        drawn.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "random_digraph", recording)
+    assert _digest("knotting-deletion", params) == digest
+    assert drawn == sizes
