@@ -254,8 +254,9 @@ def generate_wqt(seed: int, depth: int = 2, width: int = 3) -> Digraph:
     substituted in reverse draw order, so children come before parents.
     A base digraph on k vertices replaces one vertex by k, so the final
     order is at least 1 + sum(k - 1) over the bases drawn so far.
-    ValueError is raised, before anything is substituted, as soon as that
-    exceeds MAX_VERTICES, and for a depth above MAX_VERTICES; so the draw
+    ValueError is raised as soon as a drawn size takes that above
+    MAX_VERTICES, before its base is built and before anything is
+    substituted, and for a depth above MAX_VERTICES; so the draw
     stack holds at most MAX_VERTICES levels and the node list is bounded.
     """
     if depth < 1 or width < 1:
@@ -270,14 +271,12 @@ def generate_wqt(seed: int, depth: int = 2, width: int = 3) -> Digraph:
     while stack:
         level = stack.pop()
         n = rng.randint(1, width)
-        check_vertex_count(n)
-        host = builders[rng.randrange(3)](rng, n)
-        order += n - 1
+        order += n - 1  # >= n, so a single base above the limit is refused too
         if order > MAX_VERTICES:
             raise ValueError(
                 f"generated digraph exceeds the limit of {MAX_VERTICES} vertices"
             )
-        nodes.append((level, host))
+        nodes.append((level, builders[rng.randrange(3)](rng, n)))
         if level > 1:
             stack.extend([level - 1] * n)
     done: list[Digraph] = []  # finished digraphs; a node's first part is on top

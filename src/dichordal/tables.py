@@ -59,8 +59,9 @@ TABLE_MAX_N are built in one piece, a few 4^(n(n-1)/2)-byte buffers: at
 n=5 about 3 MB at once, freed after the build (see `_block_table` for
 why one piece).
 
-The exhaustive scans read their rows from `block_chunks`.  Orders below
-4 have at most 64 indices, and `block_chunks` filters each of them
+The exhaustive scans read their rows from `block_chunks`, a range of
+extension blocks at a time, named by their order-(n-1) parents.  Orders
+below 4 have at most 64 indices, and `block_chunks` filters each of them
 through the prefilter.  From order 4 it reads only extension blocks.  A
 hereditary class keeps D - (n-1) of each member, so only the blocks of
 the order-(n-1) members are expanded (at n=5, 1,246 weakly
@@ -74,10 +75,11 @@ entry takes about 110 KB at n=5 (64 KB of views, 40 KB of deletion
 rows) and 25 MB at n=6 (21 MB of views, 3.3 MB of deletion rows for the
 82,012 wqt members; never rows for all 4^10 order-5 indices).  Only the
 rows the rule keeps get an index (82,012 of the 318,976 at n=5), three
-int64 ops from their position in the piece, which is then clipped to the
-range.  The parents ascend and their blocks are disjoint and ascending,
-so the rows come out in ascending index order, exactly as filtering
-every index would give them.
+int64 ops from their position in the piece.  A range of rows is a range
+of whole blocks, given by its parents, so nothing is clipped.  The
+parents ascend and their blocks are disjoint and ascending, so the rows
+come out in ascending index order, exactly as filtering every index of
+the blocks would give them.
 """
 
 from __future__ import annotations
@@ -115,29 +117,29 @@ def block_size(n: int) -> int:
     return 4 ** (n - 1) if n else 1
 
 
-def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    """The order-n indices in [start, stop) that keep(n, idx) keeps, in
-    ascending order, for a `keep` decided on triples.  Below order 4 each
-    index is filtered through keep(n, idx); from order 4 the rows are read
-    from the extension blocks of the order-(n-1) indices it keeps and
-    decided by the block rule (see the module docstring).  One
-    searchsorted finds the cached member parents whose blocks meet [start,
-    stop); they are walked in pieces of CHUNK // 4^(n-1) blocks, and each
-    E_v gather reads a slice of their cached deletion rows.  For n up to
-    TABLE_MAX_N + 1, as the rule reads the whole order-(n-1) table; every
-    array yielded or handed to `keep` has at most CHUNK rows."""
-    if n < 4:  # the block rule starts at order 4; below it are at most 64 indices
-        for idx in index_chunks(start, stop):
-            yield idx[keep(n, idx)]
-        return
+def block_chunks(keep, n: int, first: int, last: int) -> Iterator[np.ndarray]:
+    """The order-n indices that keep(n, idx) keeps in the extension blocks
+    of the order-(n-1) parents first..last-1, in ascending order, for a
+    `keep` decided on triples.  Below order 4 every index of those blocks
+    is filtered through keep(n, idx); from order 4 the rows are read from
+    the blocks of the parents that keep(n-1, .) keeps and decided by the
+    block rule (see the module docstring).  One searchsorted finds the
+    cached member parents in [first, last); they are walked in pieces of
+    CHUNK // 4^(n-1) blocks, and each E_v gather reads a slice of their
+    cached deletion rows.  For n up to TABLE_MAX_N + 1, as the rule reads
+    the whole order-(n-1) table; every array yielded or handed to `keep`
+    has at most CHUNK rows."""
     size = block_size(n)
+    if n < 4:  # the block rule starts at order 4; below it are at most 64 indices
+        idx = np.arange(first * size, last * size, dtype=np.int64)
+        yield idx[keep(n, idx)]
+        return
     shift = 2 * (n - 1)  # size == 1 << shift
     per_chunk = CHUNK // size
     parents, deletions, extensions = _block_rule(keep, n)
-    # the member parents whose blocks meet [start, stop)
-    first, last = np.searchsorted(parents, (start // size, -(-stop // size)))
-    for lo in range(first, last, per_chunk):
-        hi = min(lo + per_chunk, last)
+    start, stop = np.searchsorted(parents, (first, last))  # the member parents in range
+    for lo in range(start, stop, per_chunk):
+        hi = min(lo + per_chunk, stop)
         # the block rule: one row gather per deleted vertex
         ok = extensions[0][deletions[0, lo:hi]]
         for v in range(1, n - 1):
@@ -147,8 +149,7 @@ def block_chunks(keep, n: int, start: int, stop: int) -> Iterator[np.ndarray]:
         # its index is k + (block[j] - j) * size
         block = parents[lo:hi]
         k = np.flatnonzero(ok)
-        idx = k + ((block - np.arange(block.size)) << shift)[k >> shift]
-        yield idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)]
+        yield k + ((block - np.arange(block.size)) << shift)[k >> shift]
 
 
 @lru_cache(maxsize=4)

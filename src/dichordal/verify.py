@@ -12,9 +12,10 @@ ranges, runs them serially or in a process pool (whose module is imported
 only when a pool starts) and merges the parts,
 keeping the first ten counterexamples in order.  It rejects a shard count
 below 1 before it looks at the jobs (a check may have none), and
-`_pool_size` a worker count below 1, before anything runs.  The table scans split
-only between extension blocks, so a shard count above the number of
-instances (or blocks) costs nothing extra.  A job runs one of two workers:
+`_pool_size` a worker count below 1, before anything runs.  A table
+scan's job counts extension blocks, not indices, so its shards split only
+between blocks, and a shard count above the number of instances (or
+blocks) costs nothing extra.  A job runs one of two workers:
 
 - `_object_scan` builds each digraph from an *instance source* (an index,
   a seeded index sample, the locally semicomplete generator tail, the
@@ -25,14 +26,14 @@ instances (or blocks) costs nothing extra.  A job runs one of two workers:
   lookup in the hereditary tables of `tables`, over the indices that a
   class prefilter from `tables` (`wqt_mask`, `lsc_mask`) keeps; no
   Digraph is built except to print a counterexample.  Its one row source
-  is `tables.block_chunks`.  Below order 4 it filters each index through
-  the prefilter.  From order 4 only the extension blocks of the
-  order-(n-1) members are read: the prefilter gives the whole order-(n-1)
-  table once per process, each block is decided from it by one row gather
-  per deleted vertex, and only the kept rows get an index, clipped to
-  [start, stop).
-  Ascending parents give ascending rows, so the counterexamples keep their
-  index order for every shard and worker count.
+  is `tables.block_chunks`, over the blocks of the shard's range of
+  order-(n-1) parents.  Below order 4 it filters each index through the
+  prefilter.  From order 4 only the extension blocks of the order-(n-1)
+  members are read: the prefilter gives the whole order-(n-1) table once
+  per process, each block is decided from it by one row gather per
+  deleted vertex, and only the kept rows get an index.  Ascending parents
+  give ascending rows, so the counterexamples keep their index order for
+  every shard and worker count.
 
 Sources, judges and prefilters travel in a job as functions, read from
 this module's bindings when the check is called, so a rebinding here (the
@@ -152,32 +153,29 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _split_range(total: int, shards: int, unit: int = 1) -> list[tuple[int, int]]:
-    """Split [0, total) into at most `shards` non-empty contiguous ranges, as
-    even as whole `unit`s allow: every boundary but the end is a multiple of
-    `unit`.  So there are at most ceil(total / unit) ranges, whatever the
-    shard count (`_check` has already rejected a count below 1)."""
-    units = -(-total // unit)
-    pieces = min(shards, units)
-    base, extra = divmod(units, pieces) if pieces else (0, 0)
+def _split_range(total: int, shards: int) -> list[tuple[int, int]]:
+    """Split [0, total) into at most `shards` non-empty contiguous ranges
+    whose sizes differ by at most 1.  So there are at most `total` ranges,
+    whatever the shard count (`_check` has already rejected a count below 1)."""
+    pieces = min(shards, total)
+    base, extra = divmod(total, pieces) if pieces else (0, 0)
     ranges = []
     start = 0
     for s in range(pieces):
-        stop = min(total, start + (base + (1 if s < extra else 0)) * unit)
+        stop = start + base + (1 if s < extra else 0)
         ranges.append((start, stop))
         start = stop
     return ranges
 
 
 class Job(NamedTuple):
-    """`worker(*args, start, stop)` over the instances [0, count), sharded in
-    whole `unit`s: the table scans split only between extension blocks, so no
-    two shards expand the same block (see `tables.block_size`)."""
+    """`worker(*args, start, stop)` over the instances [0, count).  A table
+    scan's instances are its extension blocks, so no two shards expand the
+    same block (see `tables.block_size`)."""
 
     worker: Callable[..., tuple]
     args: tuple
     count: int
-    unit: int = 1
 
 
 def _pool_size(workers: int, shards: int) -> int:
@@ -205,7 +203,7 @@ def _check(
     parts = [
         (job.worker, (*job.args, a, b))
         for job in jobs
-        for a, b in _split_range(job.count, shards, job.unit)
+        for a, b in _split_range(job.count, shards)
     ]
     pool_size = _pool_size(workers, len(parts))
     if pool_size > 1:
@@ -266,12 +264,12 @@ def _object_scan(make: Callable, decide: Callable, args: tuple, start: int, stop
 
 
 def _table_scan(
-    keep: Callable, families: tuple[str, ...], with_n: bool, n: int, start: int, stop: int
+    keep: Callable, families: tuple[str, ...], with_n: bool, n: int, first: int, last: int
 ) -> tuple:
-    """Lookup-table scan of indices [start, stop) kept by the prefilter
-    `keep`, read from its extension blocks: semi-strict chordal against
-    (symmetric part semi-strict chordal and no induced member of any of
-    `families`).
+    """Lookup-table scan of the order-n indices kept by the prefilter `keep`
+    in the extension blocks of the order-(n-1) parents first..last-1:
+    semi-strict chordal against (symmetric part semi-strict chordal and no
+    induced member of any of `families`).
 
     Mismatches are recorded in index order; each record starts with the
     order n when `with_n` is set.
@@ -280,7 +278,7 @@ def _table_scan(
     obstructed = [containment_table(f, n) for f in families]
     filtered = passed = 0
     cx = []
-    for idx in block_chunks(keep, n, start, stop):
+    for idx in block_chunks(keep, n, first, last):
         lhs = chordal[idx]
         rhs = chordal[symmetric_index(idx)]
         for table in obstructed:
@@ -295,12 +293,13 @@ def _table_scan(
                 "digraph": serialize(digraph_from_index(n, int(idx[b]))),
             }
             cx.append({"n": n, **sides} if with_n else sides)
-    return (stop - start, filtered, passed, cx)
+    return ((last - first) * block_size(n), filtered, passed, cx)
 
 
 def _table_job(keep: Callable, families: tuple[str, ...], with_n: bool, n: int) -> Job:
-    """A `_table_scan` over all order-n indices, sharded by extension block."""
-    return Job(_table_scan, (keep, families, with_n, n), digraph_count(n), block_size(n))
+    """A `_table_scan` over all order-n indices, counted in extension blocks
+    (the one row at n=0)."""
+    return Job(_table_scan, (keep, families, with_n, n), digraph_count(n) // block_size(n))
 
 
 # -- instance sources (the index source is digraph_from_index itself) --------------
@@ -452,11 +451,10 @@ def check_nesting(n: int, shards: int = 1, workers: int = 1) -> VerificationRepo
 def _deletion_derived_mismatch(d: Digraph, v: int) -> Optional[str]:
     """Does deleting v's splitting vertices from K_D give K_{D-v}?
 
-    Compared up to a group-respecting isomorphism keyed by the surviving
-    arcs; stale member sets on the deletion side are ignored.  Returns a
-    mismatch description, or None when the graphs agree.  Each vertex u's
-    classes are compared as `knotting._class_masks` pairs (in_mask,
-    out_mask) on D's masks, in D and in D - v; no class index is needed.
+    Compared by class masks: each vertex u's splitting classes are
+    `knotting._class_masks` pairs (in_mask, out_mask) on D's masks, taken
+    in D and in D - v; no knotting graph or class index is built.  Returns
+    a mismatch description, or None when the classes agree.
 
     Classes of u cannot merge: deleting v removes arcs at u but keeps the
     direct compatibility of the surviving ones (their directions and the

@@ -1,9 +1,10 @@
 """The extension-block row source of the exhaustive theorem scans.
 
-`tables.block_chunks` expands only the blocks of order-(n-1) digraphs that
-the prefilter keeps, and for n >= 4 decides them from the order-(n-1)
-table; it must give exactly the rows that filtering every index gives, in
-the same (ascending) order, for any range a shard can get.
+`tables.block_chunks` takes a range of order-(n-1) parents, expands only
+the blocks of those that the prefilter keeps, and for n >= 4 decides them
+from the order-(n-1) table; it must give exactly the rows that filtering
+every index of the range's blocks gives, in the same (ascending) order,
+for any range a shard can get.
 """
 
 import random
@@ -19,6 +20,8 @@ from dichordal.tables import (
     CHUNK,
     _class_rows,
     block_chunks,
+    block_size,
+    containment_table,
     deleted_index,
     index_chunks,
     lsc_mask,
@@ -27,18 +30,25 @@ from dichordal.tables import (
 from dichordal.verify import _split_range
 
 
+def _blocks(n: int) -> int:
+    """The extension blocks of order n, one per order-(n-1) parent."""
+    return digraph_count(n) // block_size(n)
+
+
 def _ranges(n: int) -> list[tuple[int, int]]:
-    count = digraph_count(n)
-    ranges = {(0, count)}
+    blocks = _blocks(n)
+    ranges = {(0, blocks)}
     for shards in (1, 2, 3, 7):
-        ranges.update(_split_range(count, shards))
-    lo = min(5, count)
-    ranges.add((lo, max(lo, count - 3)))  # unaligned at both ends
+        ranges.update(_split_range(blocks, shards))
+    lo = min(1, blocks)
+    ranges.add((lo, max(lo, blocks - 1)))  # interior: without the first and last block
     return sorted(ranges)
 
 
-def _expected(keep, n: int, start: int, stop: int) -> np.ndarray:
-    parts = [idx[keep(n, idx)] for idx in index_chunks(start, stop)]
+def _expected(keep, n: int, first: int, last: int) -> np.ndarray:
+    """Every index of the blocks of parents first..last-1, filtered."""
+    size = block_size(n)
+    parts = [idx[keep(n, idx)] for idx in index_chunks(first * size, last * size)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -66,8 +76,8 @@ def _counting(keep, rows: dict):
     return counting
 
 
-def _rows(keep, n: int, start: int, stop: int) -> np.ndarray:
-    chunks = list(block_chunks(_bounded(keep), n, start, stop))
+def _rows(keep, n: int, first: int, last: int) -> np.ndarray:
+    chunks = list(block_chunks(_bounded(keep), n, first, last))
     assert all(c.dtype == np.int64 for c in chunks)
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
@@ -75,27 +85,48 @@ def _rows(keep, n: int, start: int, stop: int) -> np.ndarray:
 @pytest.mark.parametrize("keep", [wqt_mask, lsc_mask], ids=["wqt", "lsc"])
 @pytest.mark.parametrize("n", range(6))
 def test_blocks_equal_the_filtered_index_range(keep, n):
-    for start, stop in _ranges(n):
-        assert np.array_equal(_rows(keep, n, start, stop), _expected(keep, n, start, stop))
+    for first, last in _ranges(n):
+        assert np.array_equal(_rows(keep, n, first, last), _expected(keep, n, first, last))
 
 
 @pytest.mark.parametrize("keep", [wqt_mask, lsc_mask], ids=["wqt", "lsc"])
 def test_shard_pieces_concatenate_to_the_full_scan(keep):
-    full = _rows(keep, 5, 0, digraph_count(5))
+    full = _rows(keep, 5, 0, _blocks(5))
     assert full.size == {wqt_mask: 82_012, lsc_mask: 71_284}[keep]
     assert np.all(np.diff(full) > 0)
     for shards in (2, 3, 7):
-        pieces = [_rows(keep, 5, a, b) for a, b in _split_range(digraph_count(5), shards)]
+        pieces = [_rows(keep, 5, a, b) for a, b in _split_range(_blocks(5), shards)]
         assert np.array_equal(np.concatenate(pieces), full)
 
 
+@pytest.mark.parametrize("blank", [False, True], ids=["tables", "fig1-blanked"])
+@pytest.mark.parametrize("check", ["theorem4", "theorem5"])
+def test_reports_are_equal_for_every_shard_count(monkeypatch, check, blank):
+    # with fig1 blanked, the reports carry counterexamples, whose index
+    # order every split between blocks must keep
+    if blank:
+
+        def blanked(family, n):
+            table = containment_table(family, n)
+            return np.zeros_like(table) if family == "fig1" else table
+
+        monkeypatch.setattr(verify, "containment_table", blanked)
+    if check == "theorem4":
+        run = partial(verify.check_theorem4, 5)
+    else:
+        run = partial(verify.check_theorem5, 5, 5)
+    single = run(shards=1)
+    assert (single.failures > 0) == blank
+    for shards in (2, 3, 7, 10**8):
+        assert run(shards=shards).to_json() == single.to_json(), shards
+
+
 def test_blocks_reach_past_the_table_orders():
-    # order 6 through the order-5 prefilter rows: a range that starts and
-    # ends inside a block, against the per-index recurrence over the
-    # order-5 table (no class table holds order 6)
-    start, stop = 3 * 4**5 + 7, 700 * 4**5 + 17
+    # order 6 through the order-5 prefilter rows: the blocks of parents
+    # 3..700, against the per-index recurrence over the order-5 table (no
+    # class table holds order 6)
     rows = partial(_class_rows, is_weakly_quasi_transitive)
-    assert np.array_equal(_rows(wqt_mask, 6, start, stop), _expected(rows, 6, start, stop))
+    assert np.array_equal(_rows(wqt_mask, 6, 3, 701), _expected(rows, 6, 3, 701))
 
 
 @pytest.mark.parametrize(
@@ -112,9 +143,9 @@ def test_order6_blocks_match_the_object_path(keep, member):
     parents = rng.sample(order5[keep(5, order5)].tolist(), 10) + rng.sample(range(4**10), 10)
     kept = 0
     for p in parents:
-        start, stop = p * 4**5, (p + 1) * 4**5
-        got = [i for rows in block_chunks(keep, 6, start, stop) for i in rows.tolist()]
-        assert got == [i for i in range(start, stop) if member(digraph_from_index(6, i))], p
+        got = [i for rows in block_chunks(keep, 6, p, p + 1) for i in rows.tolist()]
+        block = range(p * 4**5, (p + 1) * 4**5)
+        assert got == [i for i in block if member(digraph_from_index(6, i))], p
         kept += len(got)
     assert kept == {wqt_mask: 2_029, lsc_mask: 2_544}[keep]
 
@@ -143,11 +174,11 @@ def test_scan_reads_the_prefilter_through_verify(monkeypatch):
         return ok & (idx != member) if n == 4 else ok
 
     monkeypatch.setattr(verify, "wqt_mask", dropping)
-    expected = _expected(wqt_mask, 5, 0, 4**10)
+    expected = _expected(wqt_mask, 5, 0, _blocks(5))
     for v in range(5):
         expected = expected[deleted_index(5, v, expected) != member]
     assert 0 < expected.size < 82_012
-    assert np.array_equal(_rows(verify.wqt_mask, 5, 0, 4**10), expected)
+    assert np.array_equal(_rows(verify.wqt_mask, 5, 0, _blocks(5)), expected)
     report = verify.check_theorem4(5, shards=3)
     assert (report.total, report.filtered, report.failures) == (4**10, expected.size, 0)
 
@@ -168,6 +199,6 @@ def test_theorem5_reads_the_order4_table_once_for_all_parts(monkeypatch):
 )
 def test_full_order6_block_counts(keep, count):
     # the full order-6 row counts, summed without holding the rows
-    sizes = [c.size for c in block_chunks(_bounded(keep), 6, 0, digraph_count(6))]
+    sizes = [c.size for c in block_chunks(_bounded(keep), 6, 0, _blocks(6))]
     assert max(sizes) <= CHUNK
     assert sum(sizes) == count

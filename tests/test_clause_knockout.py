@@ -25,6 +25,7 @@ from dichordal.digraph import digraph_count, digraph_from_index, symmetric_subdi
 from dichordal.patterns import find_any_fig1, find_lollipop, find_nonsym_induced_dicycle
 from dichordal.tables import (
     block_chunks,
+    block_size,
     containment_table,
     lsc_mask,
     semi_strict_table,
@@ -56,7 +57,7 @@ def knockout_rows(check, n):
     chordal = semi_strict_table(n)
     tables = [containment_table(f, n) for f in families]
     rows = {clause: [] for clause in ("symmetric",) + families}
-    for idx in block_chunks(keep, n, 0, digraph_count(n)):
+    for idx in block_chunks(keep, n, 0, digraph_count(n) // block_size(n)):
         lhs = chordal[idx]
         clauses = {"symmetric": chordal[symmetric_index(idx)]}
         clauses.update((f, ~t[idx]) for f, t in zip(families, tables))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dichordal import cli, verify
+from dichordal import classes, cli, verify
 from dichordal.classes import generate_locally_semicomplete, generate_wqt
 from dichordal.cli import build_parser, main
 from dichordal.digraph import (
@@ -80,18 +80,24 @@ def test_pool_size_clamps_without_starting_processes(monkeypatch):
         verify._pool_size(0, 8)
 
 
-@pytest.mark.parametrize(
-    "total, unit", [(0, 1), (1, 1), (7, 1), (64, 1), (64, 16), (70, 16), (4**10, 4**4)]
-)
-def test_split_range_gives_nonempty_whole_unit_ranges(total, unit):
+# 4**6 is the order-5 table job's count: its extension blocks
+@pytest.mark.parametrize("total", [0, 1, 7, 64, 70, 4**6])
+def test_split_range_gives_nonempty_even_ranges(total):
     for shards in (1, 2, 3, 7, 200_000, 10**8):
-        ranges = verify._split_range(total, shards, unit)
-        assert len(ranges) == min(shards, -(-total // unit))
+        ranges = verify._split_range(total, shards)
+        assert len(ranges) == min(shards, total)
         assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
-        assert all(a < b and a % unit == 0 for a, b in ranges)
+        assert all(a < b for a, b in ranges)
         assert (ranges[0][0], ranges[-1][1]) == (0, total) if ranges else (total == 0)
-        sizes = [b - a for a, b in ranges[:-1]]
-        assert not sizes or max(sizes) - min(sizes) <= unit
+        sizes = [b - a for a, b in ranges]
+        assert not sizes or max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_table_jobs_count_extension_blocks(n):
+    # one block per order-(n-1) parent, and the single row at n=0
+    job = verify._table_job(verify.wqt_mask, ("fig1",), False, n)
+    assert job.count == (4 ** ((n - 1) * (n - 2) // 2) if n else 1)
 
 
 def test_huge_shard_count_runs_one_part_per_block(monkeypatch):
@@ -256,6 +262,23 @@ def test_gen_wqt_stops_at_the_vertex_limit(capsys):
     assert random.Random(0).randint(1, width) > MAX_VERTICES  # seed 0's base order
     with pytest.raises(ValueError, match="exceeds the limit"):
         generate_wqt(0, depth=1, width=width)
+
+
+@pytest.mark.parametrize("seed, width", [(1, 4000), (2, MAX_VERTICES)])
+def test_gen_wqt_builds_no_base_past_the_vertex_limit(monkeypatch, seed, width):
+    # the order is counted when a base's size is drawn, before the base is
+    # built: no builder call may take the order above the limit
+    orders = [1]  # the order after each builder call, starting from one vertex
+    for name in ("_random_transitive_oriented", "_random_semicomplete", "_random_symmetric"):
+
+        def counted(rng, n, build=getattr(classes, name)):
+            orders.append(orders[-1] + n - 1)
+            return build(rng, n)
+
+        monkeypatch.setattr(classes, name, counted)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        generate_wqt(seed, depth=2, width=width)
+    assert len(orders) > 1 and max(orders) <= MAX_VERTICES
 
 
 def test_gen_wqt_output_below_the_limit_unchanged():
