@@ -18,7 +18,7 @@ from dichordal.knotting import ss_chordal_via_knotting, theorem2_oracle
 
 
 def _symmetric_cycle(order):
-    arcs = [(u, v) for u, v in zip(order, order[1:] + order[:1])]
+    arcs = list(zip(order, order[1:] + order[:1]))
     return build(len(order), arcs + [(v, u) for u, v in arcs])
 
 
@@ -31,9 +31,8 @@ def test_nesting_fails_when_every_symmetric_digraph_is_called_chordal(monkeypatc
     assert (report.failures, report.status) == (3, "FAIL")
     cycles = {_symmetric_cycle(c) for c in ([0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3])}
     assert {parse(cx["digraph"]) for cx in report.counterexamples} == cycles
-    assert {(cx["strict"], cx["semi_strict"], cx["chordal"]) for cx in report.counterexamples} == {
-        (False, False, False)
-    }
+    sides = ("strict", "semi_strict", "chordal")
+    assert not any(cx[side] for cx in report.counterexamples for side in sides)
 
 
 def _answering(asked, answered):
