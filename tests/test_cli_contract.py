@@ -93,6 +93,23 @@ def test_split_range_gives_nonempty_even_ranges(total):
         assert not sizes or max(sizes) - min(sizes) <= 1
 
 
+# a table job's block ranges read as rows; (64, 16) and (4**10, 4**4) are the
+# orders 3 and 5, whose rows fill whole extension blocks
+@pytest.mark.parametrize(
+    "total, unit", [(0, 1), (1, 1), (7, 1), (64, 1), (64, 16), (4**10, 4**4)]
+)
+def test_split_range_gives_nonempty_whole_unit_ranges(total, unit):
+    for shards in (1, 2, 3, 7, 200_000, 10**8):
+        blocks = verify._split_range(total // unit, shards)
+        ranges = [(a * unit, b * unit) for a, b in blocks]
+        assert len(ranges) == min(shards, total // unit)
+        assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
+        assert all(a < b and a % unit == 0 for a, b in ranges)
+        assert (ranges[0][0], ranges[-1][1]) == (0, total) if ranges else (total == 0)
+        sizes = [b - a for a, b in ranges]
+        assert not sizes or max(sizes) - min(sizes) <= unit
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_table_jobs_count_extension_blocks(n):
     # one block per order-(n-1) parent, and the single row at n=0
