@@ -8,14 +8,17 @@ any shard or worker count.  Wall time is kept out of the canonical
 text/JSON output for the same reason.
 
 One function, `_check`, splits each job into at most `shards` non-empty
-ranges, runs them serially or in a process pool (whose module is imported
-only when a pool starts) and merges the parts,
-keeping the first ten counterexamples in order.  It rejects a shard count
+ranges, each computed from its shard number when it is run
+(`_split_range`), runs them serially or in a process pool (whose module
+is imported only when a pool starts) and folds each part's result into
+the report as it arrives, keeping the first ten counterexamples in order.
+A serial run holds one part and one result at a time, whatever the shard
+count; a pool run submits one future per part.  It rejects a shard count
 below 1 before it looks at the jobs (a check may have none), and
 `_pool_size` a worker count below 1, before anything runs.  A table
 scan's job counts extension blocks, not indices, so its shards split only
-between blocks, and a shard count above the number of instances (or
-blocks) costs nothing extra.  A job runs one of two workers:
+between blocks, and there are never more parts than instances (or
+blocks).  A job runs one of two workers:
 
 - `_object_scan` builds each digraph from an *instance source* (an index,
   a seeded index sample, the locally semicomplete generator tail, the
@@ -65,7 +68,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -153,19 +156,15 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _split_range(total: int, shards: int) -> list[tuple[int, int]]:
-    """Split [0, total) into at most `shards` non-empty contiguous ranges
-    whose sizes differ by at most 1.  So there are at most `total` ranges,
-    whatever the shard count (`_check` has already rejected a count below 1)."""
+def _split_range(total: int, shards: int) -> Iterator[tuple[int, int]]:
+    """Yield the ranges [total * s // p, total * (s + 1) // p) for s < p,
+    with p = min(shards, total): at most `shards` non-empty contiguous
+    ranges covering [0, total), whose sizes differ by at most 1.  Each range
+    is computed from s when it is asked for, so no list is built whatever
+    the shard count (`_check` has already rejected a count below 1)."""
     pieces = min(shards, total)
-    base, extra = divmod(total, pieces) if pieces else (0, 0)
-    ranges = []
-    start = 0
     for s in range(pieces):
-        stop = start + base + (1 if s < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
+        yield total * s // pieces, total * (s + 1) // pieces
 
 
 class Job(NamedTuple):
@@ -195,36 +194,33 @@ def _check(
 ) -> VerificationReport:
     """Run each job over at most `shards` non-empty contiguous ranges of its
     instances (`_split_range`); `worker(*args, start, stop)` returns (total,
-    filtered, passed, counterexamples), merged in job and range order."""
+    filtered, passed, counterexamples), folded into the report in job and
+    range order as it arrives, keeping the first ten counterexamples.  A
+    serial run makes each part when it runs it, so it holds one part and
+    one result at a time at any shard count; a pool is sized from the part
+    count without making a range, and gets one future per part."""
     if shards < 1:
         raise ValueError("shard count must be positive")
     _check_samples(params.get("samples", 0))
     started = time.perf_counter()
-    parts = [
-        (job.worker, (*job.args, a, b))
-        for job in jobs
-        for a, b in _split_range(job.count, shards)
-    ]
-    pool_size = _pool_size(workers, len(parts))
+    parts = ((job, a, b) for job in jobs for a, b in _split_range(job.count, shards))
+    pool_size = _pool_size(workers, sum(min(shards, job.count) for job in jobs))
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 20 ms; only a pool needs it
 
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(worker, *args) for worker, args in parts]
-            results = [f.result() for f in futures]
+            futures = [pool.submit(job.worker, *job.args, a, b) for job, a, b in parts]
+        results = (f.result() for f in futures)
     else:
-        results = [worker(*args) for worker, args in parts]
-    cx = [c for r in results for c in r[3]]
-    return VerificationReport(
-        name=name,
-        params=params,
-        total=sum(r[0] for r in results),
-        filtered=sum(r[1] for r in results),
-        passed=sum(r[2] for r in results),
-        counterexamples=cx[:COUNTEREXAMPLE_RECORD_LIMIT],
-        wall_time=time.perf_counter() - started,
-        asserted=asserted,
-    )
+        results = (job.worker(*job.args, a, b) for job, a, b in parts)
+    report = VerificationReport(name, params, 0, 0, 0, asserted=asserted)
+    for total, filtered, passed, cx in results:
+        report.total += total
+        report.filtered += filtered
+        report.passed += passed
+        report.counterexamples += cx[: COUNTEREXAMPLE_RECORD_LIMIT - len(report.counterexamples)]
+    report.wall_time = time.perf_counter() - started
+    return report
 
 
 # -- fast forbidden-pattern membership -------------------------------------------

@@ -84,7 +84,7 @@ def test_pool_size_clamps_without_starting_processes(monkeypatch):
 @pytest.mark.parametrize("total", [0, 1, 7, 64, 70, 4**6])
 def test_split_range_gives_nonempty_even_ranges(total):
     for shards in (1, 2, 3, 7, 200_000, 10**8):
-        ranges = verify._split_range(total, shards)
+        ranges = list(verify._split_range(total, shards))
         assert len(ranges) == min(shards, total)
         assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
         assert all(a < b for a, b in ranges)
@@ -118,7 +118,7 @@ def test_table_jobs_count_extension_blocks(n):
 
 
 def test_huge_shard_count_runs_one_part_per_block(monkeypatch):
-    assert len(verify._split_range(5, 200_000)) == 5  # before asking for 10**8
+    assert len(list(verify._split_range(5, 200_000))) == 5  # before asking for 10**8
     single = verify.check_theorem5(5, 6, samples=2, shards=1).to_json()
     parts = []
     scan = verify._table_scan
@@ -131,6 +131,27 @@ def test_huge_shard_count_runs_one_part_per_block(monkeypatch):
     assert verify.check_theorem5(5, 6, samples=2, shards=10**8).to_json() == single
     # one part per extension block: 4^(n-1) rows each, one row at order 1
     assert [parts.count(n) for n in range(1, 6)] == [1, 1, 4, 64, 4096]
+
+
+def _count_instances(start, stop):
+    """A worker whose every instance passes, with one record per part from
+    99,980 on: twenty records, of which the report keeps the first ten."""
+    return (stop - start, stop - start, stop - start, [{"i": start}] if start >= 99_980 else [])
+
+
+def test_serial_check_holds_one_part_at_a_time():
+    # 10**5 one-instance parts: a driver that lists its ranges, parts and
+    # results first traces tens of MB here (10**8 shards would not fit at all)
+    job = verify.Job(_count_instances, (), 10**5)
+    tracemalloc.start()
+    try:
+        report = verify._check("count", {}, [job], shards=10**8, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.total, report.filtered, report.passed) == (10**5, 10**5, 10**5)
+    assert report.counterexamples == [{"i": i} for i in range(99_980, 99_990)]
+    assert peak < 1 << 20
 
 
 def test_verify_output_is_the_same_for_a_huge_shard_count(capsys):
