@@ -229,8 +229,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    lines = report(root, chosen, PYTEST_ARGS)
-    return int(lines[-1].split(", ")[1] != "survived 0")
+    return int(any(line.startswith("survived ") for line in report(root, chosen, PYTEST_ARGS)))
 
 
 if __name__ == "__main__":
