@@ -140,7 +140,7 @@ def _count_instances(start, stop):
 
 
 def test_serial_check_holds_one_part_at_a_time():
-    # 10**5 one-instance parts: a driver that lists its ranges, parts and
+    # 10**5 one-instance parts: a _check that lists its ranges, parts and
     # results first traces tens of MB here (10**8 shards would not fit at all)
     job = verify.Job(_count_instances, (), 10**5)
     tracemalloc.start()

@@ -147,13 +147,13 @@ MUTANTS = [
         "fold-without-record-cap", VERIFY,
         "cx[: COUNTEREXAMPLE_RECORD_LIMIT - len(report.counterexamples)]",
         "cx",
-        "the driver keeps every part's counterexamples, not the first ten",
+        "_check keeps every part's counterexamples, not the first ten",
     ),
     Mutant(
         "fold-passed-into-filtered", VERIFY,
         "report.filtered += filtered",
         "report.filtered += passed",
-        "the driver adds each part's passed count into filtered",
+        "_check adds each part's passed count into filtered",
     ),
     Mutant(
         "greedy-rescans-from-vertex-0", CHORDALITY,
@@ -189,8 +189,8 @@ def run(root: Path, mutant: Mutant, pytest_args: list[str]) -> tuple[str, str]:
     ("killed", first failing test) or ("survived", "")."""
     if mutant.equivalent:
         return "equivalent", mutant.reason
-    with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
-        copy = Path(scratch) / "tree"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "tree"
         shutil.copytree(root, copy, ignore=_IGNORED)
         apply(copy, mutant)
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
