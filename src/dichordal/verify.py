@@ -204,6 +204,7 @@ def _check(
     _check_samples(params.get("samples", 0))
     started = time.perf_counter()
     parts = ((job, a, b) for job in jobs for a, b in _split_range(job.count, shards))
+    # the part count, by _split_range's rule p = min(shards, total), without making a range
     pool_size = _pool_size(workers, sum(min(shards, job.count) for job in jobs))
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 20 ms; only a pool needs it

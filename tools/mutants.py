@@ -15,14 +15,13 @@ mutant survived, else 0.  Each mutant that is run costs up to one full
 suite run (a survivor costs exactly one), so the whole list takes about
 ten minutes; it is not part of the test suite.
 
-Usage: python tools/mutants.py [--root DIR] [NAME ...]
+Usage: python tools/mutants.py
 
-DIR is the repository to copy (default: this script's repository); the
-NAMEs pick mutants from MUTANTS (default: all of them).  The suite runs as
-`python -m pytest -x -q -p no:cacheprovider --continue-on-collection-errors
-tests` with PYTHONPATH=src in the copy, less the one test that checks this
-list against the tree: in a mutated copy the mutant's text is gone, so
-that test would kill every mutant.
+It runs every mutant in MUTANTS on this script's repository.  The suite
+runs as `python -m pytest -x -q -p no:cacheprovider
+--continue-on-collection-errors tests` with PYTHONPATH=src in the copy,
+less the one test that checks this list against the tree: in a mutated
+copy the mutant's text is gone, so that test would kill every mutant.
 """
 
 from __future__ import annotations
@@ -220,17 +219,9 @@ def report(root: Path, mutants: list[Mutant], pytest_args: list[str]) -> list[st
     return lines
 
 
-def main(argv: list[str]) -> int:
-    root = ROOT
-    if argv[:1] == ["--root"]:
-        root, argv = Path(argv[1]), argv[2:]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    return int(any(line.startswith("survived ") for line in report(root, chosen, PYTEST_ARGS)))
+def main() -> int:
+    return int(any(line.startswith("survived ") for line in report(ROOT, MUTANTS, PYTEST_ARGS)))
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
