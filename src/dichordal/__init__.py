@@ -30,7 +30,6 @@ from .classes import (
 from .digraph import (
     Digraph,
     PairKind,
-    are_isomorphic,
     asynchronous,
     build,
     digraph_count,
@@ -59,6 +58,7 @@ from .patterns import (
     EdgeConstraint,
     Embedding,
     PatternTemplate,
+    are_isomorphic,
     expand_template,
     fig1_templates,
     find_any_fig1,

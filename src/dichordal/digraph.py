@@ -322,53 +322,6 @@ def substitute(d: Digraph, parts: Sequence[Digraph]) -> Digraph:
     return from_out_masks(out)
 
 
-# -- isomorphism -------------------------------------------------------------
-
-
-def _invariant(d: Digraph, v: int) -> tuple[int, int, int]:
-    return (
-        d.in_masks[v].bit_count(),
-        d.out_masks[v].bit_count(),
-        d.digon_masks[v].bit_count(),
-    )
-
-
-def are_isomorphic(d1: Digraph, d2: Digraph) -> bool:
-    """Arc-kind-preserving bijection test; intended for small orders."""
-    if d1.n != d2.n:
-        return False
-    if d1 == d2:
-        return True
-    inv1 = [_invariant(d1, v) for v in range(d1.n)]
-    inv2 = [_invariant(d2, v) for v in range(d2.n)]
-    if sorted(inv1) != sorted(inv2):
-        return False
-    n = d1.n
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or inv1[v] != inv2[w]:
-                continue
-            ok = True
-            for p in range(v):
-                if d1.pair_kind(p, v) != d2.pair_kind(mapping[p], w):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return extend(0)
-
-
 # -- enumeration and random generation ----------------------------------------
 
 

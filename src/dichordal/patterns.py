@@ -41,6 +41,10 @@ each constraint picks the row at its own position.
   Candidates are taken in ascending order, and the masks and bases only
   drop hosts that fail a constraint, so the first embedding found is the
   lexicographically smallest one, as with a plain loop over the hosts.
+  `are_isomorphic` is this search too: an isomorphism is an embedding of
+  one digraph, as a template that holds each pair to its own kind, into
+  another of the same order, with each template vertex restricted to the
+  hosts of its own (in, out, digon) degrees.
 * `find_lollipop` computes, once for all path lengths k, the *heads* (a
   vertex with a digon pair among its non-symmetric in-neighbours, where
   the path starts) and the *tails* (a digon pair among its non-symmetric
@@ -328,6 +332,28 @@ def _embed(m: _Masks, t: PatternTemplate, restrict: dict[int, int]) -> Optional[
 def find_induced(d: Digraph, t: PatternTemplate) -> Optional[Embedding]:
     """Lexicographically smallest injective embedding of t into d, if any."""
     return _embed(_Masks(d), t, {})
+
+
+def are_isomorphic(d1: Digraph, d2: Digraph) -> bool:
+    """True iff some bijection keeps every pair's kind: an embedding into
+    d2 of d1 read as a template that holds each pair to its own kind.  Each
+    template vertex may only go to the hosts with its (in, out, digon)
+    degrees."""
+    if d1.n != d2.n:
+        return False
+    if d1 == d2:
+        return True
+    deg1, deg2 = (
+        [tuple(m.bit_count() for m in ms) for ms in zip(d.in_masks, d.out_masks, d.digon_masks)]
+        for d in (d1, d2)
+    )
+    if sorted(deg1) != sorted(deg2):
+        return False
+    single = {kinds[0]: con for con, kinds in _ALLOWED_KINDS.items() if len(kinds) == 1}
+    cons = {pair: single[c] for pair, c in zip(pair_slots(d1.n), d1.codes)}
+    hosts = {deg: sum(1 << h for h, x in enumerate(deg2) if x == deg) for deg in deg2}
+    restrict = {v: hosts[deg] for v, deg in enumerate(deg1)}
+    return _embed(_Masks(d2), PatternTemplate("isomorphism", d1.n, cons), restrict) is not None
 
 
 def find_any_fig1(d: Digraph) -> Optional[Embedding]:

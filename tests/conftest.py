@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import strategies as st
 
@@ -26,3 +28,22 @@ def digraphs(draw, min_n=1, max_n=6):
     m = n * (n - 1) // 2
     codes = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
     return Digraph(n, codes)
+
+
+def traced(f, *args, **kwargs):
+    """(f(*args, **kwargs), what of its allocations is still held, and their
+    peak), as tracemalloc sees them.  Both are measured above what was
+    traced before the call, and the peak is reset first, so the figures
+    hold when tracing was already on (PYTHONTRACEMALLOC=1); tracing stops
+    afterwards only if this call started it."""
+    already_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    try:
+        result = f(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not already_tracing:
+            tracemalloc.stop()
+    return result, held - before, peak - before

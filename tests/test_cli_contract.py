@@ -1,6 +1,7 @@
 """The CLI's exit-code contract, resource bounds on `verify`, and the
 vertex-count bound on parsed files and generated digraphs."""
 
+import concurrent.futures
 import hashlib
 import inspect
 import io
@@ -8,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,8 @@ from dichordal.digraph import (
     to_dot,
 )
 from dichordal.verify import CHECKS
+
+from conftest import traced
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,19 +146,45 @@ def test_serial_check_holds_one_part_at_a_time():
     # 10**5 one-instance parts: a _check that lists its ranges, parts and
     # results first traces tens of MB here (10**8 shards would not fit at all)
     job = verify.Job(_count_instances, (), 10**5)
-    already_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    held_before, _ = tracemalloc.get_traced_memory()
-    try:
-        report = verify._check("count", {}, [job], shards=10**8, workers=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not already_tracing:
-            tracemalloc.stop()
+    report, _, peak = traced(verify._check, "count", {}, [job], shards=10**8, workers=1)
     assert (report.total, report.filtered, report.passed) == (10**5, 10**5, 10**5)
     assert report.counterexamples == [{"i": i} for i in range(99_980, 99_990)]
-    assert peak - held_before < 1 << 20
+    assert peak < 1 << 20
+
+
+def test_pool_run_keeps_a_window_of_futures(monkeypatch):
+    # threads stand in for the worker processes; a future is outstanding
+    # from its submission until its result is taken
+    executors = []
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.outstanding = self.most = 0
+            executors.append(self)
+
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            self.outstanding += 1
+            self.most = max(self.most, self.outstanding)
+            result = future.result
+
+            def take():
+                self.outstanding -= 1
+                return result()
+
+            future.result = take
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    job = verify.Job(_count_instances, (), 1000)
+    report = verify._check("count", {}, [job], shards=10**8, workers=2)
+    assert (report.total, report.filtered, report.passed) == (1000, 1000, 1000)
+    [pool] = executors
+    assert pool.outstanding == 0
+    # one future per part up front would reach 1,000
+    assert pool.most == 2 * verify._FUTURES_PER_WORKER
 
 
 def test_verify_output_is_the_same_for_a_huge_shard_count(capsys):
@@ -383,22 +412,24 @@ def test_gen_streams_the_serialized_text(capsys, monkeypatch, argv, make):
     assert capsys.readouterr().out == _old_serialize(make())
 
 
+def _digest_and_size(chunks_of, d):
+    """The sha256 hex digest and the length of the text that chunks_of(d)
+    yields, read one chunk at a time."""
+    h = hashlib.sha256()
+    size = 0
+    for chunk in chunks_of(d):
+        h.update(chunk.encode())
+        size += len(chunk)
+    return h.hexdigest(), size
+
+
 def test_serialize_chunks_hold_one_vertex_at_a_time():
     # transitive tournament: 44,850 arc lines, about 300 per chunk
     n = 300
     full = (1 << n) - 1
     d = from_out_masks([full & ~((2 << u) - 1) for u in range(n)])
-    h = hashlib.sha256()
-    size = 0
-    tracemalloc.start()
-    try:
-        for chunk in serialize_chunks(d):
-            h.update(chunk.encode())
-            size += len(chunk)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert h.hexdigest() == hashlib.sha256(_old_serialize(d).encode()).hexdigest()
+    (digest, size), _, peak = traced(_digest_and_size, serialize_chunks, d)
+    assert digest == hashlib.sha256(_old_serialize(d).encode()).hexdigest()
     assert size > 300_000
     # the joined text alone is `size` bytes; the list of lines was ~10x that
     assert peak < size // 10
@@ -449,17 +480,8 @@ def test_dot_chunks_hold_one_column_at_a_time():
     n = 300
     full = (1 << n) - 1
     d = from_out_masks([full & ~((2 << u) - 1) for u in range(n)])
-    h = hashlib.sha256()
-    size = 0
-    tracemalloc.start()
-    try:
-        for chunk in dot_chunks(d):
-            h.update(chunk.encode())
-            size += len(chunk)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert h.hexdigest() == hashlib.sha256(_old_to_dot(d).encode()).hexdigest()
+    (digest, size), _, peak = traced(_digest_and_size, dot_chunks, d)
+    assert digest == hashlib.sha256(_old_to_dot(d).encode()).hexdigest()
     assert size > 500_000
     # the joined text alone is `size` bytes; the list of lines was ~10x that
     assert peak < size // 10

@@ -10,7 +10,6 @@ from dichordal.classes import is_extended_semicomplete
 from dichordal.digraph import (
     Digraph,
     PairKind,
-    are_isomorphic,
     asynchronous,
     build,
     digraph_count,
@@ -27,6 +26,7 @@ from dichordal.digraph import (
     symmetric_subdigraph,
     to_dot,
 )
+from dichordal.patterns import are_isomorphic
 
 from conftest import digraphs
 

@@ -13,7 +13,6 @@ n=60.  The class witnesses,
 import itertools
 import random
 import sys
-import tracemalloc
 
 import pytest
 
@@ -22,7 +21,6 @@ from dichordal.classes import _oriented_violation, _symmetric_violation, classif
 from dichordal.digraph import (
     Digraph,
     PairKind,
-    are_isomorphic,
     build,
     digraph_from_index,
     from_out_masks,
@@ -33,7 +31,9 @@ from dichordal.digraph import (
     symmetric_subdigraph,
     to_dot,
 )
+from dichordal.patterns import are_isomorphic
 
+from conftest import traced
 from test_classes import canonical_form
 
 # -- reference copies of the code-based construction -----------------------------------
@@ -264,18 +264,6 @@ def test_are_isomorphic_matches_canonical_form_n3():
     for d1, f1 in zip(ds, forms):
         for d2, f2 in zip(ds, forms):
             assert are_isomorphic(d1, d2) == (f1 == f2)
-
-
-def traced(f, *args):
-    """(f(*args), what of its allocations is still held, and their peak),
-    as tracemalloc sees them."""
-    tracemalloc.start()
-    try:
-        result = f(*args)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, held, peak
 
 
 def test_large_path_builds_and_classifies_on_masks():

@@ -56,6 +56,7 @@ class Mutant(NamedTuple):
 VERIFY = "src/dichordal/verify.py"
 TABLES = "src/dichordal/tables.py"
 CHORDALITY = "src/dichordal/chordality.py"
+PATTERNS = "src/dichordal/patterns.py"
 
 MUTANTS = [
     Mutant(
@@ -153,6 +154,42 @@ MUTANTS = [
         "report.filtered += filtered",
         "report.filtered += passed",
         "_check adds each part's passed count into filtered",
+    ),
+    Mutant(
+        "pool-window-grows", VERIFY,
+        "window.extend(itertools.islice(futures, 1))",
+        "window.extend(itertools.islice(futures, 2))",
+        "a pool run submits two parts per result taken, so its futures pile up",
+    ),
+    Mutant(
+        "isomorphism-template-from-d2", PATTERNS,
+        "zip(pair_slots(d1.n), d1.codes)",
+        "zip(pair_slots(d1.n), d2.codes)",
+        "are_isomorphic embeds d2 into itself whenever the degrees agree",
+    ),
+    Mutant(
+        "isomorphism-by-degrees-alone", PATTERNS,
+        "return _embed(_Masks(d2), ",
+        "return True or _embed(_Masks(d2), ",
+        "are_isomorphic answers from the sorted degree triples, with no search",
+    ),
+    Mutant(
+        "isomorphism-without-degree-restriction", PATTERNS,
+        "restrict = {v: hosts[deg] for v, deg in enumerate(deg1)}",
+        "restrict = {}",
+        "an embedding between digraphs of one order is a bijection that keeps every"
+        " pair's kind, so it keeps each vertex's degrees: the restriction only drops"
+        " hosts that no embedding uses",
+        equivalent=True,
+    ),
+    Mutant(
+        "isomorphism-forward-arcs-either-way", PATTERNS,
+        "if len(kinds) == 1}",
+        "if len(kinds) < 3}",
+        "the forward arcs (lower label to higher) that a degree-keeping bijection"
+        " reversed would keep every in- and out-degree, so they would hold a"
+        " directed cycle, and forward arcs hold none",
+        equivalent=True,
     ),
     Mutant(
         "greedy-rescans-from-vertex-0", CHORDALITY,
