@@ -16,12 +16,11 @@ A serial run holds one part and one result at a time, whatever the shard
 count; a pool run (`_pool_results`) keeps at most `_FUTURES_PER_WORKER`
 futures per worker in flight, submitting the next part when it takes the
 oldest result, and the results are folded in part order while the pool
-is open.  It rejects a shard count
-below 1 before it looks at the jobs (a check may have none), and
-`_pool_size` a worker count below 1, before anything runs.  A table
-scan's job counts extension blocks, not indices, so its shards split only
-between blocks, and there are never more parts than instances (or
-blocks).  A job runs one of two workers:
+is open.  It rejects a shard count below 1 before it looks at the jobs (a
+check may have none), and `_pool_size` a worker count below 1, before
+anything runs.  A table scan's job counts extension blocks, not indices,
+so its shards split only between blocks, and there are never more parts
+than instances (or blocks).  A job runs one of two workers:
 
 - `_object_scan` builds each digraph from an *instance source* (an index,
   a seeded index sample, the locally semicomplete generator tail, the
