@@ -123,14 +123,12 @@ class PatternTemplate:
         for (i, j), con in self.constraints.items():
             if con is EdgeConstraint.NON_ADJACENT:
                 continue
-            kinds = _ALLOWED_KINDS[con]
-            for r in _degree_rows(kinds):
-                need[i][r - 1] += 1
-            for r in _degree_rows([_far_end(x) for x in kinds]):
-                need[j][r - 1] += 1
+            for end, rows in zip((i, j), _CONSTRAINT_ROWS[con][1:]):
+                for r in rows:
+                    need[end][r - 1] += 1
             cut[j] = min(cut[j], i)
         checks = [
-            tuple((p, _ROWS.index(self.constraint(p, i))) for p in range(cut[i], i))
+            tuple((p, _CONSTRAINT_ROWS[self.constraint(p, i)][0]) for p in range(cut[i], i))
             for i in range(self.k)
         ]
         return [tuple(x) for x in need], cut, checks
@@ -250,6 +248,16 @@ def _far_end(kind: PairKind) -> PairKind:
     return PairKind((kind & 1) << 1 | kind >> 1)
 
 
+# per constraint on (i, j): its host row, and the rows whose degree a
+# partner under it counts toward at i and at j, derived once
+_CONSTRAINT_ROWS = {
+    con: (_ROWS.index(con), _degree_rows(kinds), _degree_rows([_far_end(x) for x in kinds]))
+    for con, kinds in _ALLOWED_KINDS.items()
+}
+# the constraint that holds a pair to one kind
+_SINGLE = {kinds[0]: con for con, kinds in _ALLOWED_KINDS.items() if len(kinds) == 1}
+
+
 class _Masks:
     """The rows of one digraph, and the hosts that meet a degree bound."""
 
@@ -349,8 +357,7 @@ def are_isomorphic(d1: Digraph, d2: Digraph) -> bool:
     )
     if sorted(deg1) != sorted(deg2):
         return False
-    single = {kinds[0]: con for con, kinds in _ALLOWED_KINDS.items() if len(kinds) == 1}
-    cons = {pair: single[c] for pair, c in zip(pair_slots(d1.n), d1.codes)}
+    cons = {pair: _SINGLE[c] for pair, c in zip(pair_slots(d1.n), d1.codes)}
     hosts = {deg: sum(1 << h for h, x in enumerate(deg2) if x == deg) for deg in deg2}
     restrict = {v: hosts[deg] for v, deg in enumerate(deg1)}
     return _embed(_Masks(d2), PatternTemplate("isomorphism", d1.n, cons), restrict) is not None

@@ -52,6 +52,10 @@ runs all three recurrences on these views:
      blocks that hold its members (`_containment_block`);
   M  AND_{v<n-1} E_v[..] over the member parents only (`block_chunks`).
 
+Every gather is plain numpy indexing into a fresh array, as in the scan;
+the T and C builders run once per table and order in a process, so they
+keep no reused buffers.
+
 The T and C builders take an explicit ascending parents array, so they
 also evaluate pieces of order TABLE_MAX_N + 1, which no table holds; each
 call builds the order-(n-1) views, 21 MB at n=6.  The tables up to
@@ -296,7 +300,8 @@ def _semi_strict_block(n: int, parents: np.ndarray) -> np.ndarray:
     simp_L(D) holds when no in-neighbour u of L sees an out-neighbour
     w != u of L that is not digon-joined to u in P.  Each such test asks
     about one bitmask m of P's vertices and the last vertex's digits o,
-    and is read from a 2^(n-1) x 4^(n-1) table, one row per parent."""
+    and is read from a 2^(n-1) x 4^(n-1) table, one row per parent.  The
+    block starts from the last vertex's term and ORs in each v's row."""
     last = n - 1
     before = semi_strict_table(n - 1)
     extensions = _extensions(before, n)
@@ -308,26 +313,17 @@ def _semi_strict_block(n: int, parents: np.ndarray) -> np.ndarray:
     reach = (subsets & out_o[last]) != 0  # L has an out-neighbour in m
     to_last = [(inn_o[last] >> x & 1) != 0 for x in range(last)]  # x -> L, per o
     from_last = [(out_o[last] >> x & 1) != 0 for x in range(last)]  # L -> x
-    acc = np.zeros((parents.size, offsets.size), dtype=bool)
-    row, part = np.empty_like(acc), np.empty_like(acc)
-    for v in range(last):
-        _gather(extensions[v], deleted_index(n - 1, v, parents), row)
-        row &= ~_not_simplicial(out, inn, v)[:, None]
-        row &= _gather(~(loose & from_last[v]), out[v], part)  # L -> v -> w
-        row &= _gather(~(loose & to_last[v]), inn[v], part)  # u -> v -> L
-        acc |= row
     full = (1 << last) - 1
-    row[:] = before[parents][:, None]
+    acc = np.repeat(before[parents][:, None], offsets.size, axis=1)  # simp_L & T_{n-1}[p]
     for u in range(last):  # u -> L -> w
-        row &= _gather(~(reach & to_last[u]), full & ~(out[u] & inn[u] | 1 << u), part)
-    acc |= row
+        acc &= (~(reach & to_last[u]))[full & ~(out[u] & inn[u] | 1 << u)]
+    for v in range(last):
+        row = extensions[v][deleted_index(n - 1, v, parents)]
+        row &= ~_not_simplicial(out, inn, v)[:, None]
+        row &= (~(loose & from_last[v]))[out[v]]  # L -> v -> w
+        row &= (~(loose & to_last[v]))[inn[v]]  # u -> v -> L
+        acc |= row
     return acc
-
-
-def _gather(table: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[k] = table[idx[k]], written in place.  The indices are in range;
-    mode="clip" only keeps numpy from copying through a buffer."""
-    return np.take(table, idx, axis=0, out=out, mode="clip")
 
 
 @lru_cache(maxsize=None)
@@ -369,9 +365,8 @@ def _containment_block(family: str, n: int, parents: np.ndarray) -> np.ndarray:
     before = containment_table(family, n - 1)
     extensions = _extensions(before, n)
     acc = np.repeat(before[parents][:, None], size, axis=1)
-    row = np.empty_like(acc)
     for v in range(n - 1):
-        acc |= _gather(extensions[v], deleted_index(n - 1, v, parents), row)
+        acc |= extensions[v][deleted_index(n - 1, v, parents)]
     base = _base(family, n)
     owner = base // size
     hit = np.isin(owner, parents)  # over the base members, not the rows

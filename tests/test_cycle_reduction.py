@@ -1,4 +1,5 @@
-"""Theorem 5's symmetric-part clause, reduced to chordless cycles, for k <= 7.
+"""Theorem 5's symmetric-part clause, reduced to chordless cycles: searched
+for k <= 7, and settled for every k by a four-vertex window.
 
 If the clause "symmetric part semi-strict chordal" alone decided a locally
 semicomplete (lsc) digraph D, then D would hold no fig1 member, no induced
@@ -19,14 +20,35 @@ lsc digraph whose symmetric part has a chordless cycle of length 4 to 7;
 fig1 alone rules out every leaf.
 A brute force over all 3^(k(k-3)/2) assignments is the second route for
 k <= 6.
+
+Why fig1 alone rules out every leaf, for every k >= 4.  Let D be lsc and
+C = v0 ... v(k-1) a chordless cycle of its symmetric part.  Both cycle
+neighbours of v_i are digon-neighbours of v_i, so lsc makes them adjacent,
+and as C is chordless that adjacency is a single arc.  For k >= 5, v3 is a
+digon-neighbour of v2 and v0 is on one side of v2 (an in- or an
+out-neighbour) with it, so v0 and v3 are joined by a single arc; for
+k = 4 they are digon-joined.  So D induces on v0, v1, v2, v3 one of 12
+windows: digons {0,1}, {1,2}, {2,3}, one arc either way on {0,2} and on
+{1,3}, and {0,3} adjacent.  Each holds fig1a at (t0, t1, t2, t3) ->
+(v0, v2, v1, v3), which the window test checks; the 4 windows with {0,3}
+non-adjacent are not lsc and fig1-free, so the lsc step carries the
+argument.  Inside lsc the clause is therefore implied by fig1-freeness;
+theorem 5 keeps it because the checks state the paper's theorem.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 
 from dichordal.classes import is_locally_semicomplete
-from dichordal.digraph import build, from_out_masks, pair_slots, symmetric_subdigraph
+from dichordal.digraph import (
+    build,
+    digraph_to_index,
+    from_out_masks,
+    pair_slots,
+    symmetric_subdigraph,
+)
 from dichordal.patterns import (
     fig1_templates,
     find_any_fig1,
@@ -34,6 +56,7 @@ from dichordal.patterns import (
     find_lollipop,
     find_nonsym_induced_dicycle,
 )
+from dichordal.tables import containment_table, lsc_mask
 
 DETECTORS = (find_any_fig1, find_nonsym_induced_dicycle, find_lollipop)
 
@@ -168,3 +191,31 @@ def test_search_reports_witnesses_when_detectors_find_nothing(k, blanked):
     completions, family_free = search(k, detectors)
     assert completions == COUNTS[k][0]
     assert family_free == (completions if KNOCKOUTS[blanked] else 0)
+
+
+def _windows():
+    """(digraph, {0,3} adjacent) for the 16 windows on four consecutive
+    cycle vertices: digons {0,1}, {1,2}, {2,3}, one arc either way on
+    {0,2} and on {1,3}, and {0,3} a digon, absent, 0 -> 3 or 3 -> 0."""
+    digons = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+    ends = ([(0, 3), (3, 0)], [], [(0, 3)], [(3, 0)])
+    for a, b, end in itertools.product([(0, 2), (2, 0)], [(1, 3), (3, 1)], ends):
+        yield build(4, digons + [a, b] + end), bool(end)
+
+
+def test_four_consecutive_cycle_vertices_induce_fig1a():
+    fig1a = fig1_templates()[0]
+    fig1 = containment_table("fig1", 4)
+    windows = list(_windows())
+    assert len(windows) == 16 and sum(joined for _, joined in windows) == 12
+    for d, joined in windows:
+        i = digraph_to_index(d)
+        # exactly the windows with {0,3} adjacent are lsc, by both routes
+        assert is_locally_semicomplete(d) is joined
+        assert bool(lsc_mask(4, np.array([i]))[0]) is joined
+        if joined:
+            assert find_induced(d, fig1a).mapping == (0, 2, 1, 3)
+            assert fig1[i]
+        else:  # fig1-free, so the lsc step carries the argument
+            assert find_any_fig1(d) is None
+            assert not fig1[i]

@@ -84,6 +84,18 @@ MUTANTS = [
         "the semi-strict table asks for the arc u -> w instead of a digon",
     ),
     Mutant(
+        "table-rule-without-last-out-term", TABLES,
+        "        row &= (~(loose & from_last[v]))[out[v]]  # L -> v -> w\n",
+        "",
+        "the semi-strict block drops the L -> v -> w test of simp_v",
+    ),
+    Mutant(
+        "containment-block-deletes-vertex-0-only", TABLES,
+        "acc |= extensions[v][deleted_index(n - 1, v, parents)]",
+        "acc |= extensions[0][deleted_index(n - 1, 0, parents)]",
+        "the containment block reads D - 0 for every deleted vertex",
+    ),
+    Mutant(
         "tail-fig1-on-3-subsets", VERIFY,
         "k = min(d.n, 4)",
         "k = min(d.n, 3)",
@@ -160,6 +172,13 @@ MUTANTS = [
         "window.extend(itertools.islice(futures, 1))",
         "window.extend(itertools.islice(futures, 2))",
         "a pool run submits two parts per result taken, so its futures pile up",
+    ),
+    Mutant(
+        "plan-far-end-without-swap", PATTERNS,
+        "_degree_rows([_far_end(x) for x in kinds])",
+        "_degree_rows(kinds)",
+        "the search plan counts a partner's rows at the far end of a pair as at"
+        " its near end, so an arc's far end needs the wrong direction",
     ),
     Mutant(
         "isomorphism-template-from-d2", PATTERNS,
