@@ -300,8 +300,7 @@ def _semi_strict_block(n: int, parents: np.ndarray) -> np.ndarray:
     simp_L(D) holds when no in-neighbour u of L sees an out-neighbour
     w != u of L that is not digon-joined to u in P.  Each such test asks
     about one bitmask m of P's vertices and the last vertex's digits o,
-    and is read from a 2^(n-1) x 4^(n-1) table, one row per parent.  The
-    block starts from the last vertex's term and ORs in each v's row."""
+    and is read from a 2^(n-1) x 4^(n-1) table, one row per parent."""
     last = n - 1
     before = semi_strict_table(n - 1)
     extensions = _extensions(before, n)
@@ -314,7 +313,7 @@ def _semi_strict_block(n: int, parents: np.ndarray) -> np.ndarray:
     to_last = [(inn_o[last] >> x & 1) != 0 for x in range(last)]  # x -> L, per o
     from_last = [(out_o[last] >> x & 1) != 0 for x in range(last)]  # L -> x
     full = (1 << last) - 1
-    acc = np.repeat(before[parents][:, None], offsets.size, axis=1)  # simp_L & T_{n-1}[p]
+    acc = np.repeat(before[parents][:, None], offsets.size, axis=1)  # T_{n-1}[p] & simp_L
     for u in range(last):  # u -> L -> w
         acc &= (~(reach & to_last[u]))[full & ~(out[u] & inn[u] | 1 << u)]
     for v in range(last):
