@@ -154,9 +154,13 @@ class Digraph:
         return _KINDS[(self.out_masks[u] >> v & 1) | (self.in_masks[u] >> v & 1) << 1]
 
     def has_arc(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return bool(self.out_masks[u] >> v & 1)
 
     def adjacent(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return bool((self.out_masks[u] | self.in_masks[u]) >> v & 1)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
@@ -169,6 +173,7 @@ class Digraph:
         return sum(m.bit_count() for m in self.out_masks)
 
     def neighbor_mask(self, v: int) -> int:
+        self._check_vertex(v)
         return self.out_masks[v] | self.in_masks[v]
 
     def in_neighbors(self, v: int) -> frozenset[int]:
@@ -231,17 +236,16 @@ def from_out_masks(out: Sequence[int]) -> Digraph:
 def asynchronous(d: Digraph, v: int, u: int, w: int) -> bool:
     """True iff u and w sit in different cells of {in-only, out-only, both} at v.
 
-    Both u and w must be neighbours of v, and distinct.
+    Both u and w must be neighbours of v, and distinct.  The cell of x is
+    the kind of the pair (v, x).
     """
-    d._check_vertex(v)
     if u == w:
         raise ValueError("u and w must be distinct")
-    cells = []
-    for x in (u, w):
-        if not d.adjacent(v, x):
+    cu, cw = d.pair_kind(v, u), d.pair_kind(v, w)
+    for x, cell in ((u, cu), (w, cw)):
+        if cell is PairKind.NONE:
             raise ValueError(f"vertex {x} is not a neighbour of {v}")
-        cells.append((d.has_arc(x, v), d.has_arc(v, x)))
-    return cells[0] != cells[1]
+    return cu != cw
 
 
 def symmetric_subdigraph(d: Digraph) -> Digraph:

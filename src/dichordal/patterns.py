@@ -44,15 +44,19 @@ each constraint picks the row at its own position.
   `are_isomorphic` is this search too: an isomorphism is an embedding of
   one digraph, as a template that holds each pair to its own kind, into
   another of the same order, with each template vertex restricted to the
-  hosts of its own (in, out, digon) degrees.
+  hosts of its own (in, out, digon) degrees.  The sorted degree triples
+  are compared first, which also tells different orders apart.
+  The search needs no shortcut of its own: a template with more vertices
+  than the host runs out of unused hosts and finds nothing.
 * `find_lollipop` computes, once for all path lengths k, the *heads* (a
   vertex with a digon pair among its non-symmetric in-neighbours, where
   the path starts) and the *tails* (a digon pair among its non-symmetric
   out-neighbours, where it ends), with the pairs themselves.  A digraph
-  without both has no lollipop.  Otherwise the search above runs per k,
-  smallest first, with template vertices 0 and 1 restricted to the
-  feeding pairs, 2 to the heads, k+1 to the tails and k+2, k+3 to the fed
-  pairs; the first hit is still the smallest k, then the smallest mapping.
+  without both has no lollipop.  Otherwise the search above runs per
+  k = 1..n-4, smallest first, with template vertices 0 and 1 restricted
+  to the feeding pairs, 2 to the heads, k+1 to the tails and k+2, k+3 to
+  the fed pairs; the first hit is still the smallest k, then the smallest
+  mapping.
 * `find_nonsym_induced_dicycle` grows paths from each start vertex in
   ascending order.  The successors of the last vertex are its
   non-symmetric out-neighbours above the start, off the path and off the
@@ -296,8 +300,6 @@ def _embed(m: _Masks, t: PatternTemplate, restrict: dict[int, int]) -> Optional[
     """Lexicographically smallest embedding of t whose template vertex i
     lies in restrict[i] wherever given; see the module docstring."""
     k = t.k
-    if k > m.n:
-        return None
     if k == 0:
         return Embedding(t.name, ())
     need, cut, checks = t._plan
@@ -347,10 +349,6 @@ def are_isomorphic(d1: Digraph, d2: Digraph) -> bool:
     d2 of d1 read as a template that holds each pair to its own kind.  Each
     template vertex may only go to the hosts with its (in, out, digon)
     degrees."""
-    if d1.n != d2.n:
-        return False
-    if d1 == d2:
-        return True
     deg1, deg2 = (
         [tuple(m.bit_count() for m in ms) for ms in zip(d.in_masks, d.out_masks, d.digon_masks)]
         for d in (d1, d2)
@@ -390,11 +388,8 @@ def _pairs_inside(sides: list[int], digon: list[int]) -> tuple[int, int]:
     return anchors, pairs
 
 
-def find_lollipop(d: Digraph, k_max: Optional[int] = None) -> Optional[Embedding]:
-    """First lollipop embedding over k = 1..k_max (default n-4)."""
-    top = d.n - 4 if k_max is None else min(k_max, d.n - 4)
-    if top < 1:
-        return None
+def find_lollipop(d: Digraph) -> Optional[Embedding]:
+    """First lollipop embedding over k = 1..n-4."""
     m = _Masks(d)
     heads, feeding = _pairs_inside(m.rows[_NS_IN], m.rows[_DIGON])
     if not heads:
@@ -402,7 +397,7 @@ def find_lollipop(d: Digraph, k_max: Optional[int] = None) -> Optional[Embedding
     tails, fed = _pairs_inside(m.rows[_NS_OUT], m.rows[_DIGON])
     if not tails:
         return None
-    for k in range(1, top + 1):
+    for k in range(1, d.n - 3):
         restrict = {0: feeding, 1: feeding, 2: heads, k + 2: fed, k + 3: fed}
         restrict[k + 1] = tails if k > 1 else heads & tails
         hit = _embed(m, lollipop_template(k), restrict)

@@ -128,6 +128,45 @@ def test_asynchronous_errors():
         asynchronous(path, 1, 0, 0)
 
 
+def test_asynchronous_matches_neighbour_sets_exhaustive_n3():
+    """The cell of a neighbour x of v is (x in ins, x in outs), read from
+    the frozenset neighbourhoods; u and w are asynchronous at v iff their
+    cells differ."""
+    calls = 0
+    for d in enumerate_digraphs(3):
+        for v in range(3):
+            ins, outs = d.in_neighbors(v), d.out_neighbors(v)
+            for u, w in itertools.permutations(ins | outs, 2):
+                expected = (u in ins, u in outs) != (w in ins, w in outs)
+                assert asynchronous(d, v, u, w) == expected
+                calls += 1
+    assert calls == 216  # v has two neighbours in 9 of 16 cases: 64 * 3 * 9 / 16, in 2 orders
+
+
+@pytest.mark.parametrize(
+    "v, u, w", [(-1, 0, 1), (3, 0, 1), (1, -1, 2), (1, 3, 2), (1, 0, -1), (1, 0, 3)]
+)
+def test_asynchronous_refuses_out_of_range_vertices(v, u, w):
+    triangle = build(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        asynchronous(triangle, v, u, w)
+
+
+def test_pair_queries_refuse_out_of_range_vertices():
+    d = build(3, [(2, 0)])
+    for u, v in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+        with pytest.raises(ValueError, match="out of range"):
+            d.has_arc(u, v)
+        with pytest.raises(ValueError, match="out of range"):
+            d.adjacent(u, v)
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            d.neighbor_mask(v)
+    assert d.has_arc(2, 0) and not d.has_arc(0, 2)
+    assert d.adjacent(0, 2) and d.adjacent(2, 0) and not d.adjacent(0, 1)
+    assert d.neighbor_mask(2) == 1 and d.neighbor_mask(0) == 4 and d.neighbor_mask(1) == 0
+
+
 def test_symmetric_subdigraph_example1(ex1):
     assert sorted(symmetric_subdigraph(ex1).arcs()) == [(2, 3), (3, 2)]
 

@@ -57,6 +57,7 @@ VERIFY = "src/dichordal/verify.py"
 TABLES = "src/dichordal/tables.py"
 CHORDALITY = "src/dichordal/chordality.py"
 PATTERNS = "src/dichordal/patterns.py"
+DIGRAPH = "src/dichordal/digraph.py"
 
 MUTANTS = [
     Mutant(
@@ -217,6 +218,19 @@ MUTANTS = [
         "a stuck vertex stays not di-simplicial until a neighbour is deleted,"
         " so rescanning it only repeats a failing test: same order, same verdict",
         equivalent=True,
+    ),
+    Mutant(
+        "asynchronous-when-cells-agree", DIGRAPH,
+        "return cu != cw",
+        "return cu == cw",
+        "asynchronous answers True when u and w sit in the same cell at v",
+    ),
+    Mutant(
+        "has-arc-without-range-check", DIGRAPH,
+        "        self._check_vertex(u)\n        self._check_vertex(v)\n"
+        "        return bool(self.out_masks[u] >> v & 1)",
+        "        return bool(self.out_masks[u] >> v & 1)",
+        "has_arc reads a negative vertex's mask from the end of the tuple",
     ),
 ]
 
