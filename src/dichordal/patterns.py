@@ -45,9 +45,9 @@ each constraint picks the row at its own position.
   one digraph, as a template that holds each pair to its own kind, into
   another of the same order, with each template vertex restricted to the
   hosts of its own (in, out, digon) degrees.  The sorted degree triples
-  are compared first, which also tells different orders apart.
-  The search needs no shortcut of its own: a template with more vertices
-  than the host runs out of unused hosts and finds nothing.
+  are compared first; they also tell different orders apart.  A template
+  with more vertices than the host finds nothing: the search runs out of
+  unused hosts.
 * `find_lollipop` computes, once for all path lengths k, the *heads* (a
   vertex with a digon pair among its non-symmetric in-neighbours, where
   the path starts) and the *tails* (a digon pair among its non-symmetric
